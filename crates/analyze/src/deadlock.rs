@@ -558,7 +558,7 @@ pub fn verify_deadlock_freedom(prog: &Program) -> Result<(), Violation> {
 
 /// Verify the *overlapped* (send-ahead) plan of one sweep program under
 /// **both** communication models. This is the gate the distributed
-/// executor runs before enabling comm/compute overlap: unlike the legacy
+/// executor runs before enabling comm/compute overlap: unlike the
 /// blocking plan — whose exchange idiom deadlocks under rendezvous — the
 /// prefetch posts make the overlapped order acyclic even with synchronous
 /// sends, because a send only waits for the peer to *post* the receive at
@@ -576,7 +576,7 @@ pub fn verify_overlap_freedom(prog: &Program, vectors: bool) -> Result<(), Viola
 /// Verify that one sweep program stays deadlock-free with the fault
 /// layer's retry/ack recovery protocol armed
 /// ([`CommPlan::with_recovery`]): the blocking plan under buffered
-/// semantics (the legacy and zero-copy transports), and the overlapped
+/// semantics (the non-overlapped schedule), and the overlapped
 /// plan under **both** models. This is the gate the distributed executor
 /// runs instead of [`verify_overlap_freedom`] when a fault policy arms
 /// retransmission — deposits and acks are nonblocking store writes, so a

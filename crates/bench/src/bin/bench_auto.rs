@@ -220,7 +220,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
                 t[0],
                 plan.driver.name(),
                 kernel_name,
-                plan.overlap,
+                false, // blocked plans run no message schedule
                 vec![("blocked-gram", t[1]), ("blocked-pairwise", t[2])],
                 t[3],
             )
@@ -238,7 +238,7 @@ fn measure_point(pt: &Point, samples: usize, seed: u64) -> PointResult {
                 t[0],
                 plan.driver.name(),
                 kernel_name,
-                plan.overlap,
+                false,
                 vec![("direct", t[1]), ("qr-frontend", t[2])],
                 t[1],
             )

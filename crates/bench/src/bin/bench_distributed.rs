@@ -1,6 +1,5 @@
-//! Machine-readable distributed-executor benchmarks: legacy copying
-//! transport vs zero-copy pooled messaging, with and without
-//! comm/compute overlap.
+//! Machine-readable distributed-executor benchmarks: the zero-copy
+//! executor with and without comm/compute overlap.
 //!
 //! ```text
 //! cargo run --release -p treesvd-bench --bin bench_distributed            # full run,
@@ -10,82 +9,89 @@
 //!
 //! The full run times `distributed_svd_with` end to end (one thread per
 //! processor, vectors accumulated) over three orderings and two problem
-//! sizes, for three executor configurations: the legacy encode/decode
-//! transport (the baseline this PR replaces), the zero-copy transport with
-//! overlap off, and the zero-copy transport with send-ahead overlap. It
-//! writes median wall-clock seconds plus derived speedups to
-//! `BENCH_distributed.json` at the repository root. The smoke run is the
-//! regression gate wired into `scripts/verify.sh`: overlap + pool must not
-//! lose to the legacy executor, the overlapped schedule must actually
-//! engage, and the steady state must make zero payload allocations.
+//! sizes, for both schedules of the one executor loop: overlap off
+//! (arrivals complete at the end of each step) and send-ahead overlap
+//! (arrivals deferred to their point of use). The two configurations are
+//! timed interleaved, sample by sample, so host drift hits both alike. It
+//! writes median wall-clock seconds, the overlap speedup, and the measured
+//! per-step overlap price (the tuner's ν) to `BENCH_distributed.json` at
+//! the repository root.
+//!
+//! The smoke run is the regression gate wired into `scripts/verify.sh`:
+//! at new-ring 4096×16 (P = 8) the configuration the driver actually runs
+//! — overlap as [`advise_overlap`](treesvd_tune::advise_overlap) decides —
+//! must be within 10% of the faster of the two, the overlapped schedule
+//! must engage, and both must make zero steady-state payload allocations;
+//! at new-ring 4096×32 (P = 16), where overlap pays, overlapped must be
+//! within 10% of overlap-off.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 use treesvd_matrix::generate;
 use treesvd_orderings::OrderingKind;
-use treesvd_sim::{distributed_svd_with, DistConfig, DistributedOutcome, ExecConfig, Transport};
+use treesvd_sim::{distributed_svd_with, DistConfig, DistributedOutcome, ExecConfig};
 
 /// Timed samples per configuration; the median is reported.
-const SAMPLES: usize = 5;
+const SAMPLES: usize = 21;
 
-/// The three executor configurations under comparison.
+/// The two executor configurations under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Config {
-    Legacy,
     ZeroCopy,
     ZeroCopyOverlap,
 }
 
 impl Config {
-    const ALL: [Config; 3] = [Config::Legacy, Config::ZeroCopy, Config::ZeroCopyOverlap];
+    const ALL: [Config; 2] = [Config::ZeroCopy, Config::ZeroCopyOverlap];
 
     fn label(self) -> &'static str {
         match self {
-            Config::Legacy => "legacy",
             Config::ZeroCopy => "zero-copy",
             Config::ZeroCopyOverlap => "zero-copy+overlap",
         }
     }
 
     fn dist(self) -> DistConfig {
-        let (transport, overlap) = match self {
-            Config::Legacy => (Transport::Legacy, false),
-            Config::ZeroCopy => (Transport::ZeroCopy, false),
-            Config::ZeroCopyOverlap => (Transport::ZeroCopy, true),
-        };
         DistConfig {
             exec: ExecConfig::default(),
             max_sweeps: 64,
-            transport,
-            overlap,
+            overlap: self == Config::ZeroCopyOverlap,
             ..DistConfig::default()
         }
     }
 }
 
-/// Median wall-clock seconds of a full distributed run, plus the outcome
-/// of the final sample for sweep/allocation introspection.
+/// Median wall-clock seconds of a full distributed run under each
+/// configuration of `Config::ALL`, sampled interleaved (one run of each per
+/// round), plus the outcome of each configuration's final sample for
+/// sweep/allocation introspection.
 fn time_distributed(
     kind: OrderingKind,
     m: usize,
     n: usize,
-    config: Config,
     seed: u64,
-) -> (f64, DistributedOutcome) {
+) -> [(f64, DistributedOutcome); 2] {
     let a = generate::random_uniform(m, n, seed);
     let ord = kind.build(n).expect("ordering");
-    let cfg = config.dist();
-    let mut samples = [0.0f64; SAMPLES];
-    let mut last = None;
-    for s in &mut samples {
-        let columns = a.clone().into_columns();
-        let t = Instant::now();
-        let run = distributed_svd_with(ord.as_ref(), columns, true, &cfg).expect("distributed_svd");
-        *s = t.elapsed().as_secs_f64();
-        last = Some(run);
+    let mut rounds = [[0.0f64; 2]; SAMPLES];
+    let mut last: [Option<DistributedOutcome>; 2] = [None, None];
+    for round in &mut rounds {
+        for (c, config) in Config::ALL.into_iter().enumerate() {
+            let columns = a.clone().into_columns();
+            let t = Instant::now();
+            let run = distributed_svd_with(ord.as_ref(), columns, true, &config.dist())
+                .expect("distributed_svd");
+            round[c] = t.elapsed().as_secs_f64();
+            last[c] = Some(run);
+        }
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (samples[SAMPLES / 2], last.unwrap())
+    let median = |c: usize| {
+        let mut s = rounds.map(|r| r[c]);
+        s.sort_by(f64::total_cmp);
+        s[SAMPLES / 2]
+    };
+    let [zc, ov] = last.map(|r| r.expect("every configuration ran"));
+    [(median(0), zc), (median(1), ov)]
 }
 
 struct Record {
@@ -114,8 +120,8 @@ fn full_run(seed: u64) {
 
     for &kind in &orderings {
         for &n in &sizes {
-            for config in Config::ALL {
-                let (seconds, run) = time_distributed(kind, M, n, config, seed);
+            let timed = time_distributed(kind, M, n, seed);
+            for (config, (seconds, run)) in Config::ALL.into_iter().zip(timed) {
                 eprintln!(
                     "{} n={n:2} P={:2} {}: {seconds:.4} s over {} sweeps \
                      (overlap {}, steady payload allocs {})",
@@ -194,12 +200,12 @@ fn full_run(seed: u64) {
         );
     }
     json.push_str("  ],\n");
-    json.push_str("  \"overlap_speedup_over_legacy\": {\n");
+    json.push_str("  \"overlap_speedup_over_zero_copy\": {\n");
     for (i, &kind) in orderings.iter().enumerate() {
         let mut entries = String::new();
         for (j, &n) in sizes.iter().enumerate() {
             let sep = if j + 1 < sizes.len() { ", " } else { "" };
-            let s = find(&records, kind, n, Config::Legacy)
+            let s = find(&records, kind, n, Config::ZeroCopy)
                 / find(&records, kind, n, Config::ZeroCopyOverlap);
             let _ = write!(entries, "\"{n}\": {s:.2}{sep}");
         }
@@ -215,32 +221,54 @@ fn full_run(seed: u64) {
     eprintln!("wrote {out}");
 }
 
-/// Quick gate: zero-copy + overlap must not lose to the legacy executor,
-/// the overlapped schedule must actually engage, and the steady state must
-/// make zero payload allocations.
+/// Quick gate, two points. At new-ring 4096×16 (P = 8): the run the
+/// driver makes, with overlap as the tuner advises, must be within 10% of
+/// the faster configuration; the overlapped schedule must engage; neither
+/// configuration may allocate payload buffers in the steady state. At
+/// new-ring 4096×32 (P = 16), where the recorded data shows overlap paying
+/// off, overlapped must be within 10% of overlap-off.
 fn smoke_run(seed: u64) -> bool {
     const M: usize = 4096;
-    const N: usize = 16;
     let kind = OrderingKind::NewRing;
-
-    let (legacy, _) = time_distributed(kind, M, N, Config::Legacy, seed);
-    let (overlapped, run) = time_distributed(kind, M, N, Config::ZeroCopyOverlap, seed);
-
     // generous 10% slack: the gate guards against regressions, not noise
-    let fast_enough = overlapped <= legacy * 1.10;
-    let engaged = run.overlap;
-    let zero_alloc = run.steady_payload_allocs == 0;
+    const SLACK: f64 = 1.10;
+
+    let n = 16;
+    let [(zc, zc_run), (ov, ov_run)] = time_distributed(kind, M, n, seed);
+    let advised =
+        treesvd_tune::advise_overlap(M, n, true, treesvd_net::TopologyKind::PerfectFatTree);
+    let driver = if advised { ov } else { zc };
+    let fast_enough = driver <= zc.min(ov) * SLACK;
+    let engaged = ov_run.overlap;
+    let zero_alloc = zc_run.steady_payload_allocs == 0 && ov_run.steady_payload_allocs == 0;
+    let small_ok = fast_enough && engaged && zero_alloc;
     println!(
-        "smoke {M}x{N} {}: overlap {:.1} ms vs legacy {:.1} ms ({:.2}x), \
-         overlap engaged {engaged}, steady payload allocations {} — {}",
+        "smoke {M}x{n} {}: zero-copy {:.1} ms, overlap {:.1} ms, driver runs overlap {} \
+         ({:.2}x the faster), overlap engaged {engaged}, steady payload allocations {}/{} — {}",
         kind.name(),
-        overlapped * 1e3,
-        legacy * 1e3,
-        legacy / overlapped,
-        run.steady_payload_allocs,
-        if fast_enough && engaged && zero_alloc { "PASS" } else { "FAIL" }
+        zc * 1e3,
+        ov * 1e3,
+        if advised { "on" } else { "off" },
+        driver / zc.min(ov),
+        zc_run.steady_payload_allocs,
+        ov_run.steady_payload_allocs,
+        if small_ok { "PASS" } else { "FAIL" }
     );
-    fast_enough && engaged && zero_alloc
+
+    let n = 32;
+    let [(zc, _), (ov, ov_run)] = time_distributed(kind, M, n, seed);
+    let large_ok = ov <= zc * SLACK && ov_run.overlap;
+    println!(
+        "smoke {M}x{n} {}: overlap {:.1} ms vs zero-copy {:.1} ms ({:.2}x), \
+         overlap engaged {} — {}",
+        kind.name(),
+        ov * 1e3,
+        zc * 1e3,
+        zc / ov,
+        ov_run.overlap,
+        if large_ok { "PASS" } else { "FAIL" }
+    );
+    small_ok && large_ok
 }
 
 fn main() {

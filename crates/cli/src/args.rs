@@ -32,8 +32,8 @@ topologies: perfect | fat-tree | cm5 | binary | skinny-above-K
             (default: perfect for svd; none for analyze)
 block kernels (with --processors): pairwise | gram   (default: gram)
 --auto lets the calibrated cost model pick the whole execution config
-            (driver, ordering, kernel, block width, threads, overlap, QR
-            crossover, hierarchical blocking); combine only with the
+            (blocked driver: block pairs, ordering, kernel, block width,
+            threads, QR crossover, hierarchical blocking); combine only with the
             problem statement — --topology, --no-vectors, and --processors
             as a parallelism budget. Pinning a config flag (--ordering,
             --block-kernel, --no-overlap, …) alongside --auto is an error
@@ -266,10 +266,8 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
             treesvd_core::KernelSel::Pairwise => "pairwise",
         };
         let extra = format!(
-            "auto plan: {} driver, {kernel} kernel, overlap {}, {} thread(s), \
-             predicted {:.3e} ns{}",
+            "auto plan: {} driver, {kernel} kernel, {} thread(s), predicted {:.3e} ns{}",
             plan.driver.name(),
-            if plan.overlap { "on" } else { "off" },
             plan.threads,
             plan.predicted_ns,
             fe_tag(run.qr_frontend)

@@ -326,7 +326,6 @@ impl HestenesSvd {
         let dist_cfg = treesvd_sim::DistConfig {
             exec: config,
             max_sweeps: self.options.max_sweeps,
-            transport: treesvd_sim::Transport::ZeroCopy,
             overlap,
             policy: self.options.effective_policy(),
             fault: self.options.chaos.clone(),

@@ -10,34 +10,29 @@
 //! `tests/simulation_integration.rs`), because rotation order within a pair
 //! is fully determined by the schedule and f64 arithmetic is deterministic.
 //!
-//! Two transports are available ([`Transport`]):
+//! The transport is zero-copy: a departing column's storage *is* the
+//! message — the sender moves its `Vec` into a detached
+//! [`MsgBuf`](treesvd_comm::MsgBuf) and the receiver adopts the
+//! allocation. Exactly `n` data (and `n` vector) buffers exist for the
+//! whole run, wandering between ranks along the movement permutations; the
+//! steady state performs **zero payload allocations** (collectives lease
+//! from the rank-local [`BufferPool`](treesvd_comm::BufferPool), which is
+//! warm after the first sweep).
 //!
-//! * **Legacy** — the original oracle path: every exchange serializes both
-//!   columns into a fresh header-prefixed `Vec<f64>` (plus two more
-//!   allocations on decode) and every step blocks on its receives.
-//! * **Zero-copy** (default) — a departing column's storage *is* the
-//!   message: the sender moves its `Vec` into a detached
-//!   [`MsgBuf`](treesvd_comm::MsgBuf) and the receiver adopts the
-//!   allocation. Exactly `n` data (and `n` vector) buffers exist for the
-//!   whole run, wandering between ranks along the movement permutations;
-//!   the steady state performs **zero payload allocations** (collectives
-//!   lease from the rank-local [`BufferPool`](treesvd_comm::BufferPool),
-//!   which is warm after the first sweep).
-//!
-//! On top of the zero-copy transport, [`DistConfig::overlap`] enables
-//! communication/computation overlap: §4's movement permutations fix every
-//! next destination statically, so a rank ships a departing data column
-//! immediately after the A-phase rotation — while its own vector update,
-//! the V-phase messages, and the *receiver's* current step are still in
-//! flight — and defers each arrival to its point of use one step later
-//! (post at the top of step `s`, complete at step `s+1`). The split is
-//! bitwise-invisible because a Jacobi pair factors exactly into
-//! `rotate_pair_a` (Gram + data columns) then `rotate_pair_v` (vector
-//! columns). Before enabling the overlap the executor asks
-//! `treesvd-analyze` to prove the overlapped plan deadlock-free under both
-//! buffered and rendezvous semantics ([`verify_overlap_freedom`]); if the
-//! proof fails for an exotic ordering, the run silently falls back to the
-//! non-overlapped zero-copy path.
+//! [`DistConfig::overlap`] enables communication/computation overlap: §4's
+//! movement permutations fix every next destination statically, so a rank
+//! ships a departing data column immediately after the A-phase rotation —
+//! while its own vector update, the V-phase messages, and the *receiver's*
+//! current step are still in flight — and defers each arrival to its point
+//! of use one step later (post at the top of step `s`, complete at step
+//! `s+1`). Without overlap the same loop completes the arrivals at the end
+//! of step `s`. The split is bitwise-invisible because a Jacobi pair
+//! factors exactly into `rotate_pair_a` (Gram + data columns) then
+//! `rotate_pair_v` (vector columns). Before enabling the overlap the
+//! executor asks `treesvd-analyze` to prove the overlapped plan
+//! deadlock-free under both buffered and rendezvous semantics
+//! ([`verify_overlap_freedom`]); if the proof fails for an exotic
+//! ordering, the run silently falls back to the non-overlapped schedule.
 //!
 //! # Fault tolerance
 //!
@@ -56,8 +51,8 @@
 //!    boundaries; a crash restarts the world from the last sweep *all*
 //!    ranks completed.
 //! 3. **Degradation ladder** — when restarts are exhausted the executor
-//!    descends overlapped → zero-copy → legacy → single-rank sequential
-//!    (no network at all, so even a fully poisoned link is absorbed).
+//!    descends overlapped → zero-copy → single-rank sequential (no
+//!    network at all, so even a fully poisoned link is absorbed).
 //!
 //! Absorbable faults leave the result **bitwise identical** to the
 //! fault-free run — the store redelivers the exact payload, checkpoints
@@ -67,7 +62,7 @@
 //! actually ran is reported in [`DistributedOutcome::health`].
 
 use crate::exec::{
-    execute_program, rotate_pair, rotate_pair_a, rotate_pair_v, ColumnStore, ExecConfig, SlotData,
+    execute_program, rotate_pair_a, rotate_pair_v, ColumnStore, ExecConfig, SlotData,
 };
 use crate::machine::Machine;
 use crate::recovery::{CheckpointStore, DistError, FaultPolicy, HealthReport, RankCkpt};
@@ -77,25 +72,11 @@ use treesvd_analyze::{
     verify_recovery_freedom, AnalysisOptions, CertificateCache, Violation,
 };
 use treesvd_comm::{
-    allreduce_sum, allreduce_sum_in_place, Communicator, FaultInjector, FaultPlan, MsgBuf,
-    RecvError, RetryPolicy, StallKind, ThreadWorld, WorldConfig,
+    allreduce_sum_in_place, Communicator, FaultInjector, FaultPlan, MsgBuf, RecvError, RetryPolicy,
+    StallKind, ThreadWorld, WorldConfig,
 };
 use treesvd_net::TopologyKind;
-use treesvd_orderings::{ColIndex, JacobiOrdering, Program};
-
-/// Column-exchange transport of the distributed executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Serialize both columns of an exchange into a fresh header-prefixed
-    /// `Vec<f64>` per message (the original executor; kept as the oracle
-    /// and benchmark baseline).
-    Legacy,
-    /// Move the column storage itself as a detached
-    /// [`MsgBuf`](treesvd_comm::MsgBuf); the receiver adopts the
-    /// allocation. Zero copies, zero steady-state allocations.
-    #[default]
-    ZeroCopy,
-}
+use treesvd_orderings::{ColIndex, JacobiOrdering, Permutation, Program};
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone)]
@@ -104,11 +85,9 @@ pub struct DistConfig {
     pub exec: ExecConfig,
     /// Sweep cap.
     pub max_sweeps: usize,
-    /// Column-exchange transport.
-    pub transport: Transport,
     /// Communication/computation overlap (send-ahead + deferred receives).
-    /// Only effective with [`Transport::ZeroCopy`], and only after the
-    /// analyzer proves the overlapped plan deadlock-free for the ordering.
+    /// Only effective after the analyzer proves the overlapped plan
+    /// deadlock-free for the ordering.
     pub overlap: bool,
     /// Recovery knobs: receive windows, retries, checkpoints, restarts,
     /// and the degradation ladder. The default policy reproduces the
@@ -133,7 +112,6 @@ impl Default for DistConfig {
         Self {
             exec: ExecConfig::default(),
             max_sweeps: 64,
-            transport: Transport::ZeroCopy,
             overlap: true,
             policy: FaultPolicy::default(),
             fault: None,
@@ -178,7 +156,6 @@ pub struct DistributedOutcome {
 enum Rung {
     Overlapped,
     ZeroCopy,
-    Legacy,
     Sequential,
 }
 
@@ -187,22 +164,17 @@ impl Rung {
         match self {
             Self::Overlapped => "overlapped",
             Self::ZeroCopy => "zero-copy",
-            Self::Legacy => "legacy",
             Self::Sequential => "sequential",
         }
     }
 }
 
-/// The rungs a run may use, fastest first: entry point from the requested
-/// transport (and whether the overlap proof went through), descent only
-/// when the policy allows degradation.
-fn build_ladder(transport: Transport, overlap_ok: bool, degrade: bool) -> Vec<Rung> {
-    const FULL: [Rung; 4] = [Rung::Overlapped, Rung::ZeroCopy, Rung::Legacy, Rung::Sequential];
-    let start = match (transport, overlap_ok) {
-        (Transport::ZeroCopy, true) => 0,
-        (Transport::ZeroCopy, false) => 1,
-        (Transport::Legacy, _) => 2,
-    };
+/// The rungs a run may use, fastest first: entry point from whether the
+/// overlap was requested and proved, descent only when the policy allows
+/// degradation.
+fn build_ladder(overlap_ok: bool, degrade: bool) -> Vec<Rung> {
+    const FULL: [Rung; 3] = [Rung::Overlapped, Rung::ZeroCopy, Rung::Sequential];
+    let start = usize::from(!overlap_ok);
     if degrade {
         FULL[start..].to_vec()
     } else {
@@ -215,10 +187,8 @@ fn build_ladder(transport: Transport, overlap_ok: bool, degrade: bool) -> Vec<Ru
 /// resume/checkpoint context.
 struct WorkerTask<'a> {
     programs: &'a [Program],
-    left: SlotData,
-    right: SlotData,
+    pair: [SlotData; 2],
     config: ExecConfig,
-    transport: Transport,
     overlap: bool,
     vectors: bool,
     /// First sweep to execute (0 on a fresh start, the checkpointed sweep
@@ -234,8 +204,7 @@ struct WorkerTask<'a> {
 
 /// What a per-rank worker reports back.
 struct WorkerOut {
-    left: SlotData,
-    right: SlotData,
+    pair: [SlotData; 2],
     sweeps: usize,
     rotations: usize,
     converged: bool,
@@ -263,325 +232,99 @@ fn check_stall(comm: &Communicator, rank: usize, sweep: usize) -> Result<(), Dis
     }
 }
 
-/// Deposit a sweep-boundary checkpoint when one is due.
-fn maybe_checkpoint(
-    checkpoints: &Option<Arc<CheckpointStore>>,
-    every: usize,
-    sweeps_done: usize,
-    rank: usize,
-    left: &SlotData,
-    right: &SlotData,
-    rotations: usize,
-) {
-    if every == 0 {
-        return;
-    }
-    if let Some(store) = checkpoints {
-        if sweeps_done.is_multiple_of(every) {
-            store.deposit(
-                sweeps_done,
-                rank,
-                RankCkpt { left: left.clone(), right: right.clone(), rotations },
-            );
-        }
-    }
-}
-
-/// Per-rank worker: executes its two slots across all sweeps.
-fn worker(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
-    match (task.transport, task.overlap) {
-        (Transport::Legacy, _) => worker_legacy(comm, task),
-        (Transport::ZeroCopy, false) => worker_zero_copy(comm, task),
-        (Transport::ZeroCopy, true) => worker_overlapped(comm, task),
-    }
-}
-
-/// The original executor loop: encode/decode copies, blocking receives at
-/// the end of every step. Kept verbatim as the oracle and baseline.
-fn worker_legacy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
-    let WorkerTask {
-        programs,
-        mut left,
-        mut right,
-        config,
-        start_sweep,
-        start_step,
-        base_rotations,
-        checkpoints,
-        checkpoint_every,
-        ..
-    } = task;
-    let rank = comm.rank();
-    let my_slots = [2 * rank, 2 * rank + 1];
-    let mut total_rotations = base_rotations;
-    let mut sweeps = start_sweep;
-    let mut converged = false;
-    let mut global_step: u64 = start_step as u64;
-    let mut warm_allocs = 0u64;
-
-    'sweeps: for (sweep_no, program) in programs.iter().enumerate().skip(start_sweep) {
-        check_stall(comm, rank, sweep_no)?;
-        let layouts = program.layouts();
-        let mut rotations = 0usize;
-        let mut swaps = 0usize;
-        for (step_no, step) in program.steps.iter().enumerate() {
-            // --- rotate the resident pair ---
-            let layout = &layouts[step_no];
-            let small_on_left = layout[my_slots[0]] < layout[my_slots[1]];
-            let report =
-                rotate_pair(&mut left, &mut right, config.threshold, config.sort, small_on_left);
-            if report.rotated {
-                rotations += 1;
-            }
-            if report.swapped {
-                swaps += 1;
-            }
-
-            // --- communication: route this step's movement ---
-            let perm = &step.move_after;
-            let inv = perm.inverse();
-            // send departing columns; tag identifies (global step, dest slot)
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 != rank {
-                    let data =
-                        if i == 0 { std::mem::take(&mut left) } else { std::mem::take(&mut right) };
-                    let tag = global_step << 1 | (d % 2) as u64;
-                    comm.send(d / 2, tag, encode(&data));
-                }
-            }
-            // local shuffles (within this rank)
-            let mut next: [Option<SlotData>; 2] = [None, None];
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 == rank {
-                    let data =
-                        if i == 0 { std::mem::take(&mut left) } else { std::mem::take(&mut right) };
-                    next[d % 2] = Some(data);
-                }
-            }
-            // receive arrivals into the still-empty slots
-            for local in 0..2usize {
-                if next[local].is_none() {
-                    let dest_slot = my_slots[local];
-                    let src_slot = inv.dest_of(dest_slot);
-                    if src_slot / 2 == rank {
-                        // already handled as a local shuffle above
-                        continue;
-                    }
-                    let tag = global_step << 1 | (dest_slot % 2) as u64;
-                    let payload = comm.recv(src_slot / 2, tag).map_err(recv_fail(
-                        rank,
-                        sweep_no,
-                        global_step,
-                    ))?;
-                    next[local] = Some(decode(payload));
-                }
-            }
-            left = next[0].take().expect("slot 0 filled");
-            right = next[1].take().expect("slot 1 filled");
-            global_step += 1;
-        }
-
-        // --- global convergence test ---
-        let sums = allreduce_sum(comm, sweep_no as u64, vec![rotations as f64, swaps as f64])
-            .map_err(recv_fail(rank, sweep_no, global_step))?;
-        total_rotations += rotations;
-        sweeps = sweep_no + 1;
-        if sweep_no == start_sweep {
-            warm_allocs = comm.payload_allocations();
-        }
-        maybe_checkpoint(
-            &checkpoints,
-            checkpoint_every,
-            sweeps,
-            rank,
-            &left,
-            &right,
-            total_rotations,
-        );
-        if sums[0] == 0.0 && sums[1] == 0.0 {
-            converged = true;
-            break 'sweeps;
-        }
-    }
-    let steady_allocs = comm.payload_allocations() - warm_allocs;
-    Ok(WorkerOut {
-        left,
-        right,
-        sweeps,
-        rotations: total_rotations,
-        converged,
-        warm_allocs,
-        steady_allocs,
-        retries: comm.retries(),
-    })
-}
-
-/// Zero-copy transport without overlap: the full pair rotation runs, then
-/// departing columns leave as two detached messages (A phase: the data
-/// column; V phase: the vector column) whose storage the receiver adopts,
-/// and the step blocks on its arrivals like the legacy loop.
-fn worker_zero_copy(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
-    let WorkerTask {
-        programs,
-        mut left,
-        mut right,
-        config,
-        vectors,
-        start_sweep,
-        start_step,
-        base_rotations,
-        checkpoints,
-        checkpoint_every,
-        ..
-    } = task;
-    let rank = comm.rank();
-    let my_slots = [2 * rank, 2 * rank + 1];
-    let mut total_rotations = base_rotations;
-    let mut sweeps = start_sweep;
-    let mut converged = false;
-    let mut global_step = start_step;
-    let mut warm_allocs = 0u64;
-
-    'sweeps: for (sweep_no, program) in programs.iter().enumerate().skip(start_sweep) {
-        check_stall(comm, rank, sweep_no)?;
-        let layouts = program.layouts();
-        let mut rotations = 0usize;
-        let mut swaps = 0usize;
-        for (step_no, step) in program.steps.iter().enumerate() {
-            let layout = &layouts[step_no];
-            let small_on_left = layout[my_slots[0]] < layout[my_slots[1]];
-            let report =
-                rotate_pair(&mut left, &mut right, config.threshold, config.sort, small_on_left);
-            rotations += report.rotated as usize;
-            swaps += report.swapped as usize;
-
-            let perm = &step.move_after;
-            let inv = perm.inverse();
-            // departures: the column's storage is the message
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 != rank {
-                    let slot = if i == 0 { &mut left } else { &mut right };
-                    let a = std::mem::take(&mut slot.a);
-                    comm.send_buf(d / 2, overlap_tag_a(global_step, d), MsgBuf::detached(a));
-                    if vectors {
-                        let v = std::mem::take(&mut slot.v);
-                        comm.send_buf(d / 2, overlap_tag_v(global_step, d), MsgBuf::detached(v));
-                    }
-                }
-            }
-            // local shuffle: a stay crossing slots is a plain swap of the
-            // resident pair (departed columns left empty shells behind)
-            if crosses_locally(perm, rank) {
-                std::mem::swap(&mut left, &mut right);
-            }
-            // arrivals: adopt the sender's storage into the vacated shells
-            for (local, &dest_slot) in my_slots.iter().enumerate() {
-                let src_slot = inv.dest_of(dest_slot);
-                if src_slot / 2 != rank {
-                    let slot = if local == 0 { &mut left } else { &mut right };
-                    slot.a = comm
-                        .recv(src_slot / 2, overlap_tag_a(global_step, dest_slot))
-                        .map_err(recv_fail(rank, sweep_no, global_step as u64))?;
-                    if vectors {
-                        slot.v = comm
-                            .recv(src_slot / 2, overlap_tag_v(global_step, dest_slot))
-                            .map_err(recv_fail(rank, sweep_no, global_step as u64))?;
-                    }
-                }
-            }
-            global_step += 1;
-        }
-
-        let mut sums = [rotations as f64, swaps as f64];
-        allreduce_sum_in_place(comm, sweep_no as u64, &mut sums).map_err(recv_fail(
-            rank,
-            sweep_no,
-            global_step as u64,
-        ))?;
-        total_rotations += rotations;
-        sweeps = sweep_no + 1;
-        if sweep_no == start_sweep {
-            warm_allocs = comm.payload_allocations();
-        }
-        maybe_checkpoint(
-            &checkpoints,
-            checkpoint_every,
-            sweeps,
-            rank,
-            &left,
-            &right,
-            total_rotations,
-        );
-        if sums[0] == 0.0 && sums[1] == 0.0 {
-            converged = true;
-            break 'sweeps;
-        }
-    }
-    let steady_allocs = comm.payload_allocations() - warm_allocs;
-    Ok(WorkerOut {
-        left,
-        right,
-        sweeps,
-        rotations: total_rotations,
-        converged,
-        warm_allocs,
-        steady_allocs,
-        retries: comm.retries(),
-    })
-}
-
-/// An arrival deferred to its point of use: the column headed for local
-/// slot `local`, sent by `src` during movement `step`. `v_done` marks a
-/// vector payload that was opportunistically completed at the top of the
-/// step (it had already been delivered), skipping the deferred blocking
-/// receive.
+/// An arrival of movement `step`: the column headed for local slot
+/// `local`, sent by rank `src`. `v_done` marks a vector payload that was
+/// opportunistically completed together with its data column (it had
+/// already been delivered), skipping the separate blocking receive.
 #[derive(Clone, Copy)]
-struct PendingArrival {
+struct Arrival {
     local: usize,
     src: usize,
     step: usize,
     v_done: bool,
 }
 
-/// Zero-copy transport with communication/computation overlap, mirroring
-/// the analyzer's overlapped `CommPlan` op for op. Per step `s`: post the
-/// movement-`s` arrival set (the double buffer — computable ahead of time
-/// because next destinations are static), complete the movement-`s−1` A
-/// arrivals at their point of use, rotate the data columns, ship the
-/// departing A phase, then do the same for the V phase, and finally
-/// shuffle locally. Arrivals of the last movement drain after the loop —
-/// or early at a checkpoint boundary, so the deposited state is the full
-/// post-sweep state (completing an arrival is pure data adoption, so the
-/// early completion is bitwise-invisible).
-fn worker_overlapped(
+/// Complete whatever of `p` is still outstanding, blocking: the data
+/// column, then (unless piggybacked) the vector column. Completion is pure
+/// adoption of the sender's storage, so *when* it happens is
+/// bitwise-invisible.
+fn complete(
     comm: &mut Communicator,
-    task: WorkerTask<'_>,
-) -> Result<WorkerOut, DistError> {
+    p: &Arrival,
+    pair: &mut [SlotData; 2],
+    vectors: bool,
+    sweep: usize,
+) -> Result<(), DistError> {
+    let fail = recv_fail(comm.rank(), sweep, p.step as u64);
+    let dest_slot = 2 * comm.rank() + p.local;
+    pair[p.local].a = comm.recv(p.src, overlap_tag_a(p.step, dest_slot)).map_err(&fail)?;
+    if vectors && !p.v_done {
+        pair[p.local].v = comm.recv(p.src, overlap_tag_v(p.step, dest_slot)).map_err(&fail)?;
+    }
+    Ok(())
+}
+
+/// Ship the departing columns of `pair` under movement `perm` as detached
+/// messages — their storage *is* the payload: the data columns (`v_phase`
+/// false) or the vector columns (`v_phase` true).
+fn ship(
+    comm: &mut Communicator,
+    pair: &mut [SlotData; 2],
+    perm: &Permutation,
+    step: usize,
+    v_phase: bool,
+) {
+    let rank = comm.rank();
+    for (i, slot) in pair.iter_mut().enumerate() {
+        let d = perm.dest_of(2 * rank + i);
+        if d / 2 != rank {
+            let (col, tag) = if v_phase {
+                (&mut slot.v, overlap_tag_v(step, d))
+            } else {
+                (&mut slot.a, overlap_tag_a(step, d))
+            };
+            comm.send_buf(d / 2, tag, MsgBuf::detached(std::mem::take(col)));
+        }
+    }
+}
+
+/// Per-rank worker: executes its two slots across all sweeps, mirroring
+/// the analyzer's overlapped `CommPlan` op for op. Per step `s`: post the
+/// movement-`s` arrival set (computable ahead of time because next
+/// destinations are static), complete any deferred movement-`s−1` data
+/// arrivals at their point of use, rotate the data columns and ship the
+/// departing ones, then do the same for the vector columns, and finally
+/// shuffle locally.
+///
+/// The one difference `overlap` makes is *where* the movement-`s`
+/// arrivals complete: at the end of step `s` (blocking, the synchronous
+/// schedule) or at their point of use in step `s+1` (deferred, so the
+/// wire overlaps this rank's and the receiver's compute). Deferred
+/// arrivals of the last movement drain after the loop — or early at a
+/// checkpoint boundary, so the deposit is the full post-sweep state.
+/// Either way the arithmetic is the same: a Jacobi pair factors exactly
+/// into `rotate_pair_a` then `rotate_pair_v`.
+fn worker(comm: &mut Communicator, task: WorkerTask<'_>) -> Result<WorkerOut, DistError> {
     let WorkerTask {
         programs,
-        mut left,
-        mut right,
+        mut pair,
         config,
+        overlap,
         vectors,
         start_sweep,
         start_step,
         base_rotations,
         checkpoints,
         checkpoint_every,
-        ..
     } = task;
     let rank = comm.rank();
-    let my_slots = [2 * rank, 2 * rank + 1];
     let mut total_rotations = base_rotations;
     let mut sweeps = start_sweep;
     let mut converged = false;
     let mut global_step = start_step;
     let mut warm_allocs = 0u64;
-    let mut pending: Vec<PendingArrival> = Vec::with_capacity(2);
-    let mut posted: Vec<PendingArrival> = Vec::with_capacity(2);
+    let mut pending: Vec<Arrival> = Vec::with_capacity(2);
+    let mut posted: Vec<Arrival> = Vec::with_capacity(2);
 
     'sweeps: for (sweep_no, program) in programs.iter().enumerate().skip(start_sweep) {
         check_stall(comm, rank, sweep_no)?;
@@ -592,88 +335,73 @@ fn worker_overlapped(
             let perm = &step.move_after;
             let inv = perm.inverse();
 
-            // 1. prefetch post: register this movement's arrivals before
-            //    any compute (the PostRecv ops of the overlapped plan)
+            // 1. post this movement's arrivals before any compute (the
+            //    PostRecv ops of the overlapped plan)
             posted.clear();
-            for (local, &dest_slot) in my_slots.iter().enumerate() {
-                let src_slot = inv.dest_of(dest_slot);
-                if src_slot / 2 != rank {
-                    posted.push(PendingArrival {
-                        local,
-                        src: src_slot / 2,
-                        step: global_step,
-                        v_done: false,
-                    });
+            for local in 0..2 {
+                let src = inv.dest_of(2 * rank + local) / 2;
+                if src != rank {
+                    posted.push(Arrival { local, src, step: global_step, v_done: false });
                 }
             }
 
-            // 2. complete the previous movement's A arrivals at their
-            //    point of use, adopting the sender's storage; piggyback
-            //    any vector payload that is already in (one parking point
-            //    per step instead of two when the sender runs ahead)
+            // 2. complete the deferred data arrivals at their point of
+            //    use; piggyback any vector payload that is already in (one
+            //    parking point per step instead of two when the sender
+            //    runs ahead)
             for p in &mut pending {
-                let slot = if p.local == 0 { &mut left } else { &mut right };
-                slot.a = comm
-                    .recv(p.src, overlap_tag_a(p.step, my_slots[p.local]))
+                let dest_slot = 2 * rank + p.local;
+                pair[p.local].a = comm
+                    .recv(p.src, overlap_tag_a(p.step, dest_slot))
                     .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
                 if vectors {
-                    if let Some(v) = comm.try_recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                    {
-                        slot.v = v;
+                    if let Some(v) = comm.try_recv(p.src, overlap_tag_v(p.step, dest_slot)) {
+                        pair[p.local].v = v;
                         p.v_done = true;
                     }
                 }
             }
 
-            // 3. A-phase rotation (Gram + data columns)
+            // 3. A-phase rotation (Gram + data columns); 4. ship departing
+            //    data columns immediately — the receiver may still be
+            //    mid-step, and the vector work overlaps the wire
             let layout = &layouts[step_no];
-            let small_on_left = layout[my_slots[0]] < layout[my_slots[1]];
+            let small_on_left = layout[2 * rank] < layout[2 * rank + 1];
+            let [left, right] = &mut pair;
             let (rot, report) =
-                rotate_pair_a(&mut left, &mut right, config.threshold, config.sort, small_on_left);
+                rotate_pair_a(left, right, config.threshold, config.sort, small_on_left);
             rotations += report.rotated as usize;
             swaps += report.swapped as usize;
-
-            // 4. ship departing data columns immediately — the receiver is
-            //    still mid-step; its vector work and ours overlap the wire
-            for (i, &s) in my_slots.iter().enumerate() {
-                let d = perm.dest_of(s);
-                if d / 2 != rank {
-                    let slot = if i == 0 { &mut left } else { &mut right };
-                    let a = std::mem::take(&mut slot.a);
-                    comm.send_buf(d / 2, overlap_tag_a(global_step, d), MsgBuf::detached(a));
-                }
-            }
+            ship(comm, &mut pair, perm, global_step, false);
 
             if vectors {
-                // 5. complete the previous movement's V arrivals (unless
-                //    already piggybacked at the top of the step)
-                for p in &pending {
-                    if p.v_done {
-                        continue;
-                    }
-                    let slot = if p.local == 0 { &mut left } else { &mut right };
-                    slot.v = comm
-                        .recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
+                // 5. complete the deferred vector arrivals (unless already
+                //    piggybacked in 2.); 6. V-phase rotation; 7. ship
+                //    departing vector columns
+                for p in pending.iter().filter(|p| !p.v_done) {
+                    pair[p.local].v = comm
+                        .recv(p.src, overlap_tag_v(p.step, 2 * rank + p.local))
                         .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
                 }
-                // 6. V-phase rotation
-                rotate_pair_v(rot, &report, &mut left, &mut right);
-                // 7. ship departing vector columns
-                for (i, &s) in my_slots.iter().enumerate() {
-                    let d = perm.dest_of(s);
-                    if d / 2 != rank {
-                        let slot = if i == 0 { &mut left } else { &mut right };
-                        let v = std::mem::take(&mut slot.v);
-                        comm.send_buf(d / 2, overlap_tag_v(global_step, d), MsgBuf::detached(v));
-                    }
-                }
+                let [left, right] = &mut pair;
+                rotate_pair_v(rot, &report, left, right);
+                ship(comm, &mut pair, perm, global_step, true);
             }
 
-            // 8. local shuffle; the posted arrivals become pending
+            // 8. local shuffle: a stay crossing slots is a plain swap of the
+            //    resident pair (departed columns left empty shells behind)
             if crosses_locally(perm, rank) {
-                std::mem::swap(&mut left, &mut right);
+                pair.swap(0, 1);
             }
-            std::mem::swap(&mut pending, &mut posted);
+            // 9. this movement's arrivals: deferred to step s+1, or
+            //    adopted into the vacated shells right now
+            if overlap {
+                std::mem::swap(&mut pending, &mut posted);
+            } else {
+                for p in &posted {
+                    complete(comm, p, &mut pair, vectors, sweep_no)?;
+                }
+            }
             global_step += 1;
         }
 
@@ -690,28 +418,14 @@ fn worker_overlapped(
         }
         // a due checkpoint first materializes the deferred arrivals, so
         // the deposit is the true post-sweep state
-        if checkpoint_every > 0 && checkpoints.is_some() && sweeps % checkpoint_every == 0 {
-            for p in &pending {
-                let slot = if p.local == 0 { &mut left } else { &mut right };
-                slot.a = comm
-                    .recv(p.src, overlap_tag_a(p.step, my_slots[p.local]))
-                    .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
-                if vectors && !p.v_done {
-                    slot.v = comm
-                        .recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                        .map_err(recv_fail(rank, sweep_no, p.step as u64))?;
-                }
+        if let Some(store) =
+            checkpoints.as_ref().filter(|_| checkpoint_every > 0 && sweeps % checkpoint_every == 0)
+        {
+            for p in pending.drain(..) {
+                complete(comm, &p, &mut pair, vectors, sweep_no)?;
             }
-            pending.clear();
-            maybe_checkpoint(
-                &checkpoints,
-                checkpoint_every,
-                sweeps,
-                rank,
-                &left,
-                &right,
-                total_rotations,
-            );
+            let [left, right] = pair.clone();
+            store.deposit(sweeps, rank, RankCkpt { left, right, rotations: total_rotations });
         }
         if sums[0] == 0.0 && sums[1] == 0.0 {
             converged = true;
@@ -719,26 +433,15 @@ fn worker_overlapped(
         }
     }
 
-    // drain: the final movement's arrivals complete after the sweep loop
-    // (already empty if the last sweep ended on a checkpoint boundary)
+    // drain: the final movement's deferred arrivals complete after the
+    // sweep loop (already empty without overlap or after a checkpoint)
     for p in &pending {
-        let slot = if p.local == 0 { &mut left } else { &mut right };
-        slot.a = comm.recv(p.src, overlap_tag_a(p.step, my_slots[p.local])).map_err(recv_fail(
-            rank,
-            sweeps,
-            p.step as u64,
-        ))?;
-        if vectors && !p.v_done {
-            slot.v = comm
-                .recv(p.src, overlap_tag_v(p.step, my_slots[p.local]))
-                .map_err(recv_fail(rank, sweeps, p.step as u64))?;
-        }
+        complete(comm, p, &mut pair, vectors, sweeps)?;
     }
 
     let steady_allocs = comm.payload_allocations() - warm_allocs;
     Ok(WorkerOut {
-        left,
-        right,
+        pair,
         sweeps,
         rotations: total_rotations,
         converged,
@@ -750,7 +453,7 @@ fn worker_overlapped(
 
 /// Whether this step's movement keeps a column on `rank` but moves it to
 /// the other local slot — the only intra-rank shuffle two slots allow.
-fn crosses_locally(perm: &treesvd_orderings::schedule::Permutation, rank: usize) -> bool {
+fn crosses_locally(perm: &Permutation, rank: usize) -> bool {
     for (i, s) in [2 * rank, 2 * rank + 1].into_iter().enumerate() {
         let d = perm.dest_of(s);
         if d / 2 == rank && d % 2 != i {
@@ -758,21 +461,6 @@ fn crosses_locally(perm: &treesvd_orderings::schedule::Permutation, rank: usize)
         }
     }
     false
-}
-
-fn encode(d: &SlotData) -> Vec<f64> {
-    let mut out = Vec::with_capacity(d.a.len() + d.v.len() + 1);
-    out.push(d.a.len() as f64);
-    out.extend_from_slice(&d.a);
-    out.extend_from_slice(&d.v);
-    out
-}
-
-fn decode(payload: Vec<f64>) -> SlotData {
-    let m = payload[0] as usize;
-    let a = payload[1..1 + m].to_vec();
-    let v = payload[1 + m..].to_vec();
-    SlotData { a, v }
 }
 
 /// What one completed attempt (any rung) produced.
@@ -827,12 +515,8 @@ fn run_attempt(
     checkpoints: &Option<Arc<CheckpointStore>>,
 ) -> Result<AttemptOut, DistError> {
     let procs = slot_data.len() / 2;
-    let (transport, overlap) = match rung {
-        Rung::Overlapped => (Transport::ZeroCopy, true),
-        Rung::ZeroCopy => (Transport::ZeroCopy, false),
-        Rung::Legacy => (Transport::Legacy, false),
-        Rung::Sequential => unreachable!("the sequential rung runs outside the world"),
-    };
+    debug_assert!(rung != Rung::Sequential, "the sequential rung runs outside the world");
+    let overlap = rung == Rung::Overlapped;
     let world = ThreadWorld::with_config(
         procs,
         WorldConfig {
@@ -847,8 +531,10 @@ fn run_attempt(
 
     let mut handles = Vec::with_capacity(procs);
     for (rank, mut comm) in world.into_communicators().into_iter().enumerate() {
-        let left = std::mem::take(&mut slot_data[2 * rank]);
-        let right = std::mem::take(&mut slot_data[2 * rank + 1]);
+        let pair = [
+            std::mem::take(&mut slot_data[2 * rank]),
+            std::mem::take(&mut slot_data[2 * rank + 1]),
+        ];
         let programs = Arc::clone(programs);
         let checkpoints = checkpoints.clone();
         let base_rotations = bases[rank];
@@ -857,10 +543,8 @@ fn run_attempt(
                 &mut comm,
                 WorkerTask {
                     programs: &programs,
-                    left,
-                    right,
+                    pair,
                     config: exec,
-                    transport,
                     overlap,
                     vectors,
                     start_sweep,
@@ -885,8 +569,9 @@ fn run_attempt(
     for (rank, h) in handles.into_iter().enumerate() {
         match h.join().expect("worker panicked") {
             Ok(out) => {
-                slots[2 * rank] = out.left;
-                slots[2 * rank + 1] = out.right;
+                let [left, right] = out.pair;
+                slots[2 * rank] = left;
+                slots[2 * rank + 1] = right;
                 sweeps = out.sweeps; // identical on all ranks by the allreduce
                 converged = out.converged;
                 total_rotations += out.rotations;
@@ -909,16 +594,7 @@ fn run_attempt(
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(AttemptOut {
-        slots,
-        sweeps,
-        converged,
-        total_rotations,
-        warm,
-        steady,
-        retries,
-        overlap: rung == Rung::Overlapped,
-    })
+    Ok(AttemptOut { slots, sweeps, converged, total_rotations, warm, steady, retries, overlap })
 }
 
 /// The bottom of the ladder: the synchronous single-process executor,
@@ -988,15 +664,15 @@ pub fn distributed_svd(
     distributed_svd_with(ordering, columns, accumulate_v, &cfg)
 }
 
-/// [`distributed_svd`] with full control over transport, overlap, fault
+/// [`distributed_svd`] with full control over overlap, fault
 /// injection, and recovery.
 ///
 /// The supervisor walks the degradation ladder: on each rung it runs up
 /// to `1 + policy.max_restarts` whole-world attempts (each resuming from
 /// the newest complete checkpoint, or the initial columns), then — if the
 /// policy allows — descends to the next rung. The retransmission store is
-/// cleared between attempts (rungs encode tags differently, so a stale
-/// deposit must never satisfy a later redelivery); stall/crash latches
+/// cleared between attempts (a stale deposit from an abandoned attempt
+/// must never satisfy a later redelivery); stall/crash latches
 /// are *not* cleared, so a restarted run resumes past the event that
 /// killed its predecessor.
 ///
@@ -1025,9 +701,9 @@ pub fn distributed_svd_with(
         cfg.fault.as_ref().map(|plan| Arc::new(FaultInjector::new(plan.clone())));
     let recovery = injector.is_some() || policy.is_armed();
 
-    // overlap only runs on the zero-copy transport, and only once the
-    // analyzer has proved the send-ahead plan deadlock-free under both
-    // buffered and rendezvous semantics; with recovery armed the stricter
+    // overlap only runs once the analyzer has proved the send-ahead plan
+    // deadlock-free under both buffered and rendezvous semantics; with
+    // recovery armed the stricter
     // proofs (send-ahead *plus* the deposit/ack retransmission protocol,
     // plus the pool-lease discipline on every recovery path) gate it
     // instead. One restore period covers every distinct per-sweep program
@@ -1035,8 +711,7 @@ pub fn distributed_svd_with(
     // gate consumes a validated certificate instead of re-proving; a
     // matching certificate that fails witness validation is a hard error.
     let period = ordering.restore_period().max(1).min(programs.len());
-    let overlap_requested = cfg.overlap && cfg.transport == Transport::ZeroCopy;
-    let overlap_ok = overlap_requested
+    let overlap_ok = cfg.overlap
         && match &cfg.cert_cache {
             Some(cache) => {
                 match cache.verify_or_prove(ordering, &AnalysisOptions::default(), true, recovery) {
@@ -1060,7 +735,7 @@ pub fn distributed_svd_with(
     let store = ColumnStore::from_columns(columns, accumulate_v);
     let initial: Vec<SlotData> = store.slots;
 
-    let ladder = build_ladder(cfg.transport, overlap_ok, policy.degrade);
+    let ladder = build_ladder(overlap_ok, policy.degrade);
     let checkpoints = (policy.checkpoint_every > 0).then(|| Arc::new(CheckpointStore::new(procs)));
 
     let mut restarts_used = 0u32;
@@ -1231,28 +906,22 @@ mod tests {
             let n = 8;
             let a = generate::random_uniform(12, n, 11);
             let ord = kind.build(n).unwrap();
-            let mut runs = Vec::new();
-            for (transport, overlap) in [
-                (Transport::Legacy, false),
-                (Transport::ZeroCopy, false),
-                (Transport::ZeroCopy, true),
-            ] {
-                let cfg = DistConfig { transport, overlap, ..DistConfig::default() };
+            let (ref_slots, ref_layout, ref_sweeps) = reference_run(kind, &a, true, 64);
+            let mut rotations = Vec::new();
+            for overlap in [false, true] {
+                let cfg = DistConfig { overlap, ..DistConfig::default() };
                 let run = distributed_svd_with(ord.as_ref(), a.clone().into_columns(), true, &cfg)
                     .unwrap();
                 assert_eq!(run.overlap, overlap, "{kind}: overlap gate disagreed");
-                runs.push(run);
-            }
-            let base = &runs[0];
-            for run in &runs[1..] {
-                assert_eq!(run.sweeps, base.sweeps, "{kind}");
-                assert_eq!(run.total_rotations, base.total_rotations, "{kind}");
-                assert_eq!(run.layout, base.layout, "{kind}");
-                for (s, (d, r)) in run.slots.iter().zip(base.slots.iter()).enumerate() {
-                    assert_eq!(d.a, r.a, "{kind}: slot {s} data differs");
-                    assert_eq!(d.v, r.v, "{kind}: slot {s} vectors differ");
+                assert_eq!(run.sweeps, ref_sweeps, "{kind}");
+                assert_eq!(run.layout, ref_layout, "{kind}");
+                for (s, (d, r)) in run.slots.iter().zip(ref_slots.iter()).enumerate() {
+                    assert_eq!(d.a, r.a, "{kind} overlap={overlap}: slot {s} data differs");
+                    assert_eq!(d.v, r.v, "{kind} overlap={overlap}: slot {s} vectors differ");
                 }
+                rotations.push(run.total_rotations);
             }
+            assert_eq!(rotations[0], rotations[1], "{kind}");
         }
     }
 
@@ -1262,8 +931,7 @@ mod tests {
             let n = 16;
             let a = generate::random_uniform(24, n, 13);
             let ord = OrderingKind::NewRing.build(n).unwrap();
-            let cfg =
-                DistConfig { transport: Transport::ZeroCopy, overlap, ..DistConfig::default() };
+            let cfg = DistConfig { overlap, ..DistConfig::default() };
             let run = distributed_svd_with(ord.as_ref(), a.into_columns(), true, &cfg).unwrap();
             assert!(run.converged);
             assert!(run.sweeps > 2, "need a steady state to measure");
@@ -1273,20 +941,6 @@ mod tests {
                 "overlap={overlap}: steady state allocated payload buffers"
             );
         }
-    }
-
-    #[test]
-    fn legacy_transport_never_overlaps() {
-        let n = 8;
-        let a = generate::random_uniform(16, n, 17);
-        let ord = OrderingKind::NewRing.build(n).unwrap();
-        // even with overlap requested, the legacy transport must refuse it:
-        // its blocking plan cycles under rendezvous semantics (PR 2)
-        let cfg =
-            DistConfig { transport: Transport::Legacy, overlap: true, ..DistConfig::default() };
-        let run = distributed_svd_with(ord.as_ref(), a.into_columns(), true, &cfg).unwrap();
-        assert!(run.converged);
-        assert!(!run.overlap, "legacy transport must never overlap");
     }
 
     #[test]
@@ -1433,7 +1087,7 @@ mod tests {
         assert!(run.converged);
         assert_eq!(
             run.health.fallbacks,
-            vec!["overlapped", "zero-copy", "legacy"],
+            vec!["overlapped", "zero-copy"],
             "every network rung must fail on a dead edge"
         );
         assert!(!run.overlap);

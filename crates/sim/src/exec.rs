@@ -529,6 +529,11 @@ fn need_swap(
 ) -> bool {
     match sort {
         SortMode::None => false,
+        // two zero columns are already in order: swapping them would only
+        // trade their vector columns and count a swap, so a pair of zero
+        // pads (n = 1 padded to 4) would keep the termination test from
+        // ever firing
+        SortMode::Descending if alpha == 0.0 && beta == 0.0 => false,
         SortMode::Descending => {
             let (alpha_new, beta_new) = if rot.skipped {
                 (alpha, beta)

@@ -14,10 +14,10 @@
 //!   sweeps each rank deposits its two columns into a shared
 //!   [`CheckpointStore`]; after a crash the whole world restarts from the
 //!   last sweep *all* ranks completed.
-//! * **A degradation ladder** — if restarts are exhausted on one transport
-//!   the executor descends: overlapped → synchronous zero-copy → legacy →
-//!   a single-rank sequential fallback that needs no network at all and
-//!   therefore absorbs even a fully poisoned link.
+//! * **A degradation ladder** — if restarts are exhausted on one rung the
+//!   executor descends: overlapped → synchronous zero-copy → a single-rank
+//!   sequential fallback that needs no network at all and therefore
+//!   absorbs even a fully poisoned link.
 //!
 //! What the run actually needed is reported in a [`HealthReport`]; what it
 //! could not absorb becomes a [`DistError::Unrecoverable`] carrying the
@@ -53,8 +53,8 @@ pub struct FaultPolicy {
     pub checkpoint_every: usize,
     /// Whole-world restarts allowed per ladder rung before descending.
     pub max_restarts: u32,
-    /// Whether to descend the transport ladder (overlapped → zero-copy →
-    /// legacy → sequential) once restarts are exhausted. `false` turns the
+    /// Whether to descend the ladder (overlapped → zero-copy → sequential)
+    /// once restarts are exhausted. `false` turns the
     /// last restart failure into [`DistError::Unrecoverable`] directly.
     pub degrade: bool,
     /// Screen every received payload for NaN/Inf at the communicator seam.
@@ -300,11 +300,11 @@ mod tests {
         let err = DistError::Unrecoverable {
             last: Box::new(last),
             restarts: 3,
-            rungs: vec!["overlapped", "zero-copy", "legacy"],
+            rungs: vec!["overlapped", "zero-copy"],
         };
         let s = err.to_string();
         assert!(s.contains("3 restart(s)"), "{s}");
-        assert!(s.contains("overlapped → zero-copy → legacy"), "{s}");
+        assert!(s.contains("overlapped → zero-copy"), "{s}");
         assert!(s.contains("rank 2 crashed at the start of sweep 4"), "{s}");
         assert!(std::error::Error::source(&err).is_some());
     }

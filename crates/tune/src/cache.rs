@@ -170,18 +170,16 @@ pub fn global() -> &'static TuneCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{DriverSel, KernelSel, TransportSel};
+    use crate::plan::{DriverSel, KernelSel};
     use treesvd_orderings::OrderingKind;
 
     fn dummy_plan() -> TunePlan {
         TunePlan {
-            driver: DriverSel::Simulated,
+            driver: DriverSel::Blocked { processors: 4 },
             ordering: OrderingKind::FatTree,
             kernel: KernelSel::Gram,
             block_cols: 1,
             threads: 4,
-            transport: TransportSel::ZeroCopy,
-            overlap: false,
             qr_frontend: true,
             qr_crossover: 8.0,
             hier_cols: 0,

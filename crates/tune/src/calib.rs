@@ -49,7 +49,7 @@ pub struct Calibration {
     /// product) — the rate that makes the Gram kernel win.
     pub panel_flop_ns: f64,
     /// Time to move one 8-byte word over the in-process "link" (a payload
-    /// copy, the legacy-transport unit cost).
+    /// copy).
     pub word_ns: f64,
     /// Fixed per-message cost: one pool lease + channel round-trip (the
     /// zero-copy transport's whole price).
@@ -246,8 +246,8 @@ fn probe_panel_flop_ns() -> Option<f64> {
     Some(ns / (k * k * m * reps) as f64)
 }
 
-/// Link word rate: timed payload copies (the legacy transport's unit
-/// cost; the zero-copy transport moves pointers instead).
+/// Link word rate: timed payload copies (the zero-copy transport moves
+/// pointers instead; this prices the header it still serializes).
 fn probe_word_ns() -> Option<f64> {
     let words = 8 * 1024;
     let src = vec![1.5f64; words];

@@ -1,14 +1,15 @@
 //! `treesvd-tune`: cost-model-driven auto-tuning.
 //!
 //! Given a problem statement `(m, n, vectors, P, topology)` — plus the
-//! compile-time architecture — select the full execution config: driver
-//! (simulated / blocked / distributed), Jacobi ordering, block kernel,
-//! block width `c`, thread count, transport, comm/compute overlap, QR
-//! front-end crossover, and hierarchical-blocking width. Selection
-//! minimizes the calibrated [`treesvd_net::CostModel`] extended with
-//! per-phase compute terms; see [`model`] for the procedure and
-//! [`calib`] for where the constants come from (recorded bench meta
-//! blocks refined by one-shot microprobes).
+//! compile-time architecture — select the full execution config of the
+//! blocked driver, the one production driver family: block-pair count,
+//! Jacobi ordering, meeting kernel (Gram or pairwise, whichever the model
+//! prices cheaper), block width `c`, thread count, QR front-end
+//! crossover, and hierarchical-blocking width. Selection minimizes the
+//! calibrated [`treesvd_net::CostModel`] extended with per-phase compute
+//! terms; see [`model`] for the procedure and [`calib`] for where the
+//! constants come from (recorded bench meta blocks refined by one-shot
+//! microprobes).
 //!
 //! Decisions are memoized in a process-wide [`cache::TuneCache`] keyed
 //! by `(shape-class, P, topology, arch, ANALYZER_VERSION)`: steady-state
@@ -20,9 +21,9 @@
 //! maps a [`TunePlan`] onto its options, and the distributed driver
 //! consults [`advise_overlap`] when the caller did not pin overlap.
 //! Plans are *requests*, not bypasses — every choice still flows through
-//! the analyzer gates (overlap engages only when
-//! `verify_overlap_freedom` proves the plan deadlock-free, schedules
-//! still verify, certificates still validate).
+//! the analyzer gates (schedules still verify, certificates still
+//! validate, and the distributed executor's overlap engages only when
+//! `verify_overlap_freedom` proves the plan deadlock-free).
 
 pub mod cache;
 pub mod calib;
@@ -32,7 +33,7 @@ pub mod plan;
 pub use cache::{ShapeClass, TuneCache, TuneKey};
 pub use calib::{CalibSource, Calibration};
 pub use model::compute_plan;
-pub use plan::{DriverSel, KernelSel, TransportSel, TunePlan, TuneProblem};
+pub use plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
 
 use treesvd_net::TopologyKind;
 
@@ -52,8 +53,7 @@ pub fn plan_for(problem: &TuneProblem) -> TunePlan {
     plan
 }
 
-/// Should a distributed run over the zero-copy transport use the
-/// overlapped schedule? The calibrated model's answer for columns of
+/// Should a distributed run use the overlapped schedule? The calibrated model's answer for columns of
 /// length `m` at padded width `n_pad` — `false` at the recorded small-P
 /// points, where zero-copy leaves overlap nothing to hide. This is what
 /// the distributed driver consults when no explicit `with_overlap` was
@@ -62,7 +62,7 @@ pub fn plan_for(problem: &TuneProblem) -> TunePlan {
 #[must_use]
 pub fn advise_overlap(m: usize, n_pad: usize, vectors: bool, _topology: TopologyKind) -> bool {
     let cm = calib::global().cost_model();
-    model::overlap_decision(&cm, m, n_pad, vectors, TransportSel::ZeroCopy)
+    model::overlap_decision(&cm, m, n_pad, vectors)
 }
 
 #[cfg(test)]

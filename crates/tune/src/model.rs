@@ -1,40 +1,29 @@
 //! The decision procedure: score every candidate execution config with
 //! the calibrated cost model and keep the cheapest.
 //!
-//! The model prices three driver families against the *effective* swept
-//! shape (after deciding the QR front-end), in nanoseconds:
+//! There is one driver family — the blocked driver, the production path
+//! in the hierarchically blocked Jacobi style of Novaković (arXiv
+//! 1401.2720). The model prices it against the *effective* swept shape
+//! (after deciding the QR front-end), in nanoseconds: `2p` block columns
+//! of width `c`, each step running `p` concurrent meetings plus a fixed
+//! pool fork/join handshake, for every block-pair count `p ≤ P` tried.
+//! The meeting kernel is chosen by price: for `c ≥ 2` both
+//! [`CostModel::gram_meeting_cost`] and
+//! [`CostModel::pairwise_meeting_cost`] are evaluated and the cheaper
+//! wins (Gram on a host with a fast panel rate, pairwise where panel
+//! kernels run no faster than streaming ones); at `c = 1` there is
+//! nothing for the Gram kernel to amortize.
 //!
-//! * **blocked** — `2p` block columns of width `c`; each step runs `p`
-//!   concurrent meetings priced by
-//!   [`CostModel::gram_meeting_cost`]/[`pairwise_meeting_cost`]
-//!   (per-phase compute terms), plus a fixed pool fork/join handshake.
-//! * **distributed** — one rank per column pair; each step is one
-//!   rotation plus the transport's fixed message cost, with the
-//!   overlapped variant priced by [`CostModel::step_cost`] semantics
-//!   (latency + max(compute, serialization) + ν).
-//! * **simulated** — the central-router executor: the same rotations,
-//!   chunked over the pool lanes with a per-step barrier and a routing
-//!   term that grows with the padded width.
-//!
-//! Ordering selection reuses the data-free
-//! [`analyze_program`](treesvd_sim::analyze_program) comm analysis (link
-//! words from `phase_cost`) on the problem's topology, so the choice is
-//! the paper's §5 analysis run under the calibrated constants rather
-//! than a hard-coded table.
+//! The simulated and distributed executors reproduce the paper and are
+//! never planned; the distributed executor still asks [`overlap_decision`]
+//! (through [`advise_overlap`](crate::advise_overlap)) whether to run its
+//! overlapped schedule.
 
-use treesvd_net::{CostModel, Topology, TopologyKind};
+use treesvd_net::CostModel;
 use treesvd_orderings::OrderingKind;
-use treesvd_sim::{analyze_program, Machine};
 
 use crate::calib::Calibration;
-use crate::plan::{DriverSel, KernelSel, TransportSel, TunePlan, TuneProblem};
-
-/// Thread-spawn cost charged per distributed rank (the executor spawns
-/// fresh rank threads per run; the blocked/simulated pool is persistent).
-const SPAWN_NS: f64 = 25_000.0;
-
-/// Mild penalty on oversubscribed distributed ranks (context switching).
-const OVERSUB_PENALTY: f64 = 1.25;
+use crate::plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
 
 /// Safety floor on the modeled QR crossover: TSQR constant factors vary
 /// more than the probe battery resolves, so the front-end only engages
@@ -58,14 +47,12 @@ fn pair_compute_ns(cm: &CostModel, me: usize, ne: usize, vectors: bool) -> f64 {
     cm.rotation_cost(me) + if vectors { cm.gamma * (8 * ne) as f64 } else { 0.0 }
 }
 
-/// One scored driver candidate.
+/// One scored blocked candidate.
 #[derive(Debug, Clone, Copy)]
-struct DriverScore {
-    driver: DriverSel,
+struct BlockedScore {
+    processors: u16,
     kernel: KernelSel,
     block_cols: u16,
-    threads: u16,
-    overlap: bool,
     total_ns: f64,
 }
 
@@ -77,92 +64,36 @@ fn score_blocked(
     ne: usize,
     vectors: bool,
     p: usize,
-) -> DriverScore {
+) -> BlockedScore {
     let c = ne.div_ceil(2 * p).max(1);
     let n_super = 2 * p;
     let steps = (n_super - 1).max(1) as f64;
     let vrows = if vectors { ne } else { 0 };
-    // A union panel (and the V panel riding with it) must stay
-    // cache-resident for the Gram kernel's panel rate to hold; the
-    // hierarchical level (always planned as Auto) restores residency for
-    // oversized unions at a small strip-cycling overhead.
-    let union_bytes = 8 * 2 * c * (me + vrows + 2 * c);
-    let resident = union_bytes <= cal.l2_bytes;
-    let (kernel, mut meeting) = if c >= 2 {
-        (KernelSel::Gram, cm.gram_meeting_cost(c, me, vrows, true))
+    let pairwise = cm.pairwise_meeting_cost(c, me, vrows);
+    let (kernel, meeting) = if c >= 2 {
+        // A union panel (and the V panel riding with it) must stay
+        // cache-resident for the Gram kernel's panel rate to hold; the
+        // hierarchical level (always planned as Auto) restores residency
+        // for oversized unions at a small strip-cycling overhead.
+        let union_bytes = 8 * 2 * c * (me + vrows + 2 * c);
+        let resident = union_bytes <= cal.l2_bytes;
+        let gram = cm.gram_meeting_cost(c, me, vrows, true) * if resident { 1.0 } else { 1.15 };
+        if pairwise < gram {
+            (KernelSel::Pairwise, pairwise)
+        } else {
+            (KernelSel::Gram, gram)
+        }
     } else {
-        (KernelSel::Pairwise, cm.pairwise_meeting_cost(c, me, vrows))
+        (KernelSel::Pairwise, pairwise)
     };
-    if kernel == KernelSel::Gram && !resident {
-        // hier strip cycling: extra pass over the union per strip level
-        meeting *= 1.15;
-    }
     // p meetings run concurrently on p pool lanes (candidates keep
     // p ≤ P), plus one fork/join handshake per step.
     let step = meeting + 2.0 * cm.alpha;
-    DriverScore {
-        driver: DriverSel::Blocked { processors: p.min(u16::MAX as usize) as u16 },
+    BlockedScore {
+        processors: p.min(u16::MAX as usize) as u16,
         kernel,
         block_cols: c.min(u16::MAX as usize) as u16,
-        threads: p.min(u16::MAX as usize) as u16,
-        overlap: false,
         total_ns: est_sweeps(ne) * steps * step,
-    }
-}
-
-/// Score the thread-per-rank distributed executor (zero-copy transport;
-/// the legacy copy-transport is priced inside the overlap decision and
-/// never wins in-process).
-fn score_distributed(
-    cm: &CostModel,
-    me: usize,
-    ne_pad: usize,
-    vectors: bool,
-    p: usize,
-) -> DriverScore {
-    let ranks = (ne_pad / 2).max(1);
-    let q = ranks.div_ceil(p.max(1)) as f64;
-    let comp =
-        pair_compute_ns(cm, me, ne_pad, vectors) * q * if q > 1.0 { OVERSUB_PENALTY } else { 1.0 };
-    let overlap = overlap_decision(cm, me, ne_pad, vectors, TransportSel::ZeroCopy);
-    let step = if overlap {
-        cm.alpha + comp.max(zero_copy_serialization_ns(cm)) + cm.nu
-    } else {
-        comp + 2.0 * cm.alpha
-    };
-    let steps = (ne_pad - 1).max(1) as f64;
-    DriverScore {
-        driver: DriverSel::Distributed,
-        kernel: KernelSel::Pairwise,
-        block_cols: 1,
-        threads: ranks.min(u16::MAX as usize) as u16,
-        overlap,
-        total_ns: est_sweeps(ne_pad) * steps * step + SPAWN_NS * ranks as f64,
-    }
-}
-
-/// Score the central-router simulated executor.
-fn score_simulated(
-    cm: &CostModel,
-    me: usize,
-    ne_pad: usize,
-    vectors: bool,
-    p: usize,
-) -> DriverScore {
-    let pairs = (ne_pad / 2).max(1);
-    let lanes = p.clamp(1, pairs);
-    let chunks = pairs.div_ceil(lanes) as f64;
-    let comp = pair_compute_ns(cm, me, ne_pad, vectors);
-    // per-step: chunked rotations + pool fork/join + routing bookkeeping
-    let step = chunks * comp + 2.0 * cm.alpha + 0.05 * cm.alpha * ne_pad as f64;
-    let steps = (ne_pad - 1).max(1) as f64;
-    DriverScore {
-        driver: DriverSel::Simulated,
-        kernel: KernelSel::Pairwise,
-        block_cols: 1,
-        threads: lanes.min(u16::MAX as usize) as u16,
-        overlap: false,
-        total_ns: est_sweeps(ne_pad) * steps * step,
     }
 }
 
@@ -177,58 +108,10 @@ fn zero_copy_serialization_ns(cm: &CostModel) -> f64 {
 /// bookkeeping — it pays only when the hidden serialization beats ν.
 /// Zero-copy messages serialize almost nothing (the payload moves by
 /// pointer), which is exactly why overlap *loses* at the recorded small-P
-/// points; a payload-copying transport with long columns flips the sign.
-pub(crate) fn overlap_decision(
-    cm: &CostModel,
-    me: usize,
-    ne_pad: usize,
-    vectors: bool,
-    transport: TransportSel,
-) -> bool {
+/// points.
+pub(crate) fn overlap_decision(cm: &CostModel, me: usize, ne_pad: usize, vectors: bool) -> bool {
     let comp = pair_compute_ns(cm, me, ne_pad, vectors);
-    let serialization = match transport {
-        TransportSel::ZeroCopy => zero_copy_serialization_ns(cm),
-        TransportSel::Legacy => {
-            let words = me + if vectors { ne_pad } else { 0 };
-            words as f64 * cm.beta
-        }
-    };
-    comp.min(serialization) > cm.nu
-}
-
-/// Choose the ordering for a sweep unit of `n_eff` columns by replaying
-/// each buildable ordering's sweep program through the data-free comm
-/// analysis on the problem's topology (calibrated `phase_cost` +
-/// `rotation_cost`). Falls back to the first buildable kind of the
-/// paper's preference order when the unit is too large to analyze or the
-/// leaf count is not a power of two (the `Topology` constructor's
-/// requirement).
-fn pick_ordering(topology: TopologyKind, n_eff: usize, words: u64, cm: &CostModel) -> OrderingKind {
-    const PREFERENCE: [OrderingKind; 5] = [
-        OrderingKind::FatTree,
-        OrderingKind::NewRing,
-        OrderingKind::ModifiedRing,
-        OrderingKind::Ring,
-        OrderingKind::RoundRobin,
-    ];
-    let fallback =
-        PREFERENCE.into_iter().find(|k| k.build(n_eff).is_ok()).unwrap_or(OrderingKind::RoundRobin);
-    let leaves = n_eff / 2;
-    if !leaves.is_power_of_two() || leaves < 2 || n_eff > 256 {
-        return fallback;
-    }
-    let machine = Machine::new(Topology::new(topology, leaves), *cm);
-    let mut best: Option<(OrderingKind, f64)> = None;
-    for kind in OrderingKind::ALL {
-        let Ok(ord) = kind.build(n_eff) else { continue };
-        let prog = ord.sweep_program(0, &ord.initial_layout());
-        let rep = analyze_program(&machine, &prog, words);
-        let t = rep.total_time();
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((kind, t));
-        }
-    }
-    best.map_or(fallback, |(k, _)| k)
+    comp.min(zero_copy_serialization_ns(cm)) > cm.nu
 }
 
 /// The ordering for the blocked driver's super-column sweep: the first
@@ -296,42 +179,33 @@ pub fn compute_plan(problem: &TuneProblem, cal: &Calibration) -> TunePlan {
     } else {
         0.0
     };
-    let ne_pad = ne + ne % 2;
 
-    // 2) Driver family: every blocked block-pair count p' ≤ min(P, ne/2)
-    //    (powers of two plus P itself), the distributed executor, and the
-    //    simulated executor.
-    let mut candidates: Vec<DriverScore> = Vec::new();
-    let p_cap = p.min(ne / 2);
-    let mut bp = 1;
+    // 2) Block-pair count: every p' ≤ min(P, ne/2) (powers of two plus
+    //    the cap itself). The cap is at least 1, so even a single column
+    //    gets a candidate (one meeting of a padded pair of blocks).
+    let p_cap = p.min(ne / 2).max(1);
+    let mut best = score_blocked(&cm, cal, me, ne, problem.vectors, 1);
+    let mut bp = 2;
     while bp <= p_cap {
-        candidates.push(score_blocked(&cm, cal, me, ne, problem.vectors, bp));
+        let s = score_blocked(&cm, cal, me, ne, problem.vectors, bp);
+        if s.total_ns < best.total_ns {
+            best = s;
+        }
         bp *= 2;
     }
-    if p_cap >= 1 && !p_cap.is_power_of_two() {
-        candidates.push(score_blocked(&cm, cal, me, ne, problem.vectors, p_cap));
+    if !p_cap.is_power_of_two() {
+        let s = score_blocked(&cm, cal, me, ne, problem.vectors, p_cap);
+        if s.total_ns < best.total_ns {
+            best = s;
+        }
     }
-    if ne_pad >= 2 {
-        candidates.push(score_distributed(&cm, me, ne_pad, problem.vectors, p));
-        candidates.push(score_simulated(&cm, me, ne_pad, problem.vectors, p));
-    }
-    let best = candidates
-        .into_iter()
-        .min_by(|a, b| a.total_ns.total_cmp(&b.total_ns))
-        .unwrap_or_else(|| score_simulated(&cm, me, ne_pad.max(2), problem.vectors, p));
 
-    // 3) Ordering for the winner's sweep unit. The blocked driver's
-    //    meetings are in-process pool handoffs — no link ever carries the
-    //    panels, so the ordering's only observable effect is rotation
-    //    order, i.e. convergence; keep the default tree ordering there
-    //    (measured best sweep counts: the comm-minimal llb pick costs an
-    //    extra sweep on the recorded blocked shapes). The simulated and
-    //    distributed executors do pay per-message costs, so their
-    //    ordering comes from the comm analysis.
-    let ordering = match best.driver {
-        DriverSel::Blocked { processors } => blocked_ordering(2 * processors as usize),
-        _ => pick_ordering(problem.topology, ne_pad, (me as u64).max(1), &cm),
-    };
+    // 3) The blocked driver's meetings are in-process pool handoffs — no
+    //    link ever carries the panels, so the ordering's only observable
+    //    effect is rotation order, i.e. convergence; keep the default tree
+    //    ordering (measured best sweep counts: the comm-minimal llb pick
+    //    costs an extra sweep on the recorded blocked shapes).
+    let ordering = blocked_ordering(2 * best.processors as usize);
 
     // The candidate's thread count follows the stated budget `P` (it is
     // the machine the model priced), but the *pool request* must never
@@ -342,13 +216,11 @@ pub fn compute_plan(problem: &TuneProblem, cal: &Calibration) -> TunePlan {
     let host = treesvd_sim::par::num_threads().clamp(1, u16::MAX as usize) as u16;
 
     TunePlan {
-        driver: best.driver,
+        driver: DriverSel::Blocked { processors: best.processors },
         ordering,
         kernel: best.kernel,
         block_cols: best.block_cols,
-        threads: best.threads.min(host).max(1),
-        transport: TransportSel::ZeroCopy,
-        overlap: best.overlap,
+        threads: best.processors.min(host).max(1),
         qr_frontend: true,
         qr_crossover: crossover,
         hier_cols: 0,
@@ -376,15 +248,8 @@ mod tests {
         // the recorded regression: new-ring P=8, m=4096 — overlap lost to
         // plain zero-copy, so the calibrated model must turn it off
         let cm = cal().cost_model();
-        assert!(!overlap_decision(&cm, 4096, 16, true, TransportSel::ZeroCopy));
-        assert!(!overlap_decision(&cm, 4096, 32, true, TransportSel::ZeroCopy));
-    }
-
-    #[test]
-    fn copying_transport_with_long_columns_flips_overlap_on() {
-        let cm = cal().cost_model();
-        assert!(overlap_decision(&cm, 1 << 20, 64, true, TransportSel::Legacy));
-        assert!(!overlap_decision(&cm, 256, 64, true, TransportSel::Legacy));
+        assert!(!overlap_decision(&cm, 4096, 16, true));
+        assert!(!overlap_decision(&cm, 4096, 32, true));
     }
 
     #[test]
@@ -393,7 +258,6 @@ mod tests {
         assert!(matches!(plan.driver, DriverSel::Blocked { .. }), "{plan:?}");
         assert_eq!(plan.kernel, KernelSel::Gram);
         assert!(plan.block_cols >= 2);
-        assert_eq!(plan.transport, TransportSel::ZeroCopy);
         assert!(plan.predicted_ns > 0.0);
     }
 
@@ -425,23 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn ordering_comes_from_the_comm_analysis() {
-        // On a perfect fat tree a localized tree-family ordering must win
-        // the analysis for a pow2 sweep unit (the llb variant localizes
-        // hardest and takes it at every measured size; ring/round-robin
-        // traffic hits the root every step and must lose).
-        let cm = cal().cost_model();
-        let kind = pick_ordering(TopologyKind::PerfectFatTree, 16, 1024, &cm);
-        assert!(
-            matches!(kind, OrderingKind::Llb | OrderingKind::FatTree | OrderingKind::Hybrid),
-            "{kind:?}"
-        );
-        // unanalyzable sizes fall back to a buildable kind
-        let kind = pick_ordering(TopologyKind::PerfectFatTree, 6, 1024, &cm);
-        assert!(kind.build(6).is_ok());
-    }
-
-    #[test]
     fn blocked_plans_keep_the_convergence_proven_tree_ordering() {
         let plan = compute_plan(&TuneProblem::new(256, 64).with_processors(4), &cal());
         assert!(matches!(plan.driver, DriverSel::Blocked { .. }), "{plan:?}");
@@ -468,5 +315,41 @@ mod tests {
                 assert_eq!(plan.kernel, KernelSel::Pairwise);
             }
         }
+    }
+
+    #[test]
+    fn every_shape_and_budget_plans_the_blocked_driver() {
+        let dims = [1usize, 2, 3, 4, 5, 7, 8, 16, 31, 64, 100, 128, 255, 256, 512];
+        for cal in [cal(), Calibration::recorded()] {
+            for &n in &dims {
+                for m in [n, 2 * n + 1, 64 * n] {
+                    for p in [1usize, 2, 3, 4, 8, 16, 64] {
+                        for (rows, cols) in [(m, n), (n, m)] {
+                            let problem = TuneProblem::new(rows, cols).with_processors(p);
+                            let plan = compute_plan(&problem, &cal);
+                            assert!(
+                                matches!(plan.driver, DriverSel::Blocked { processors } if processors >= 1),
+                                "{rows}x{cols} P={p}: {plan:?}"
+                            );
+                            assert!(plan.predicted_ns.is_finite() && plan.predicted_ns > 0.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_kernel_is_chosen_by_price() {
+        // native panel rate (recorded): the Gram kernel's cache-blocked
+        // panels win by an order of magnitude
+        let square = TuneProblem::new(512, 256).with_processors(1);
+        assert_eq!(compute_plan(&square, &Calibration::recorded()).kernel, KernelSel::Gram);
+        // a build without `target-cpu=native`: panel flops cost as much as
+        // streaming ones, so the Gram kernel's extra panel passes lose
+        let slow_panels = Calibration { panel_flop_ns: 1.07, ..Calibration::recorded() };
+        let plan = compute_plan(&square, &slow_panels);
+        assert!(matches!(plan.driver, DriverSel::Blocked { .. }), "{plan:?}");
+        assert_eq!(plan.kernel, KernelSel::Pairwise, "{plan:?}");
     }
 }

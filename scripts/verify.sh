@@ -21,7 +21,11 @@ cargo run --release -p treesvd-bench --bin bench_kernels -- --smoke
 echo "== bench smoke: Gram vs pairwise blocked meeting (512x128, c=16) =="
 cargo run --release -p treesvd-bench --bin bench_blocked -- --smoke
 
-echo "== bench smoke: zero-copy overlapped vs legacy distributed executor (4096x16) =="
+echo "== bench smoke: distributed executor, advised overlap vs the faster schedule (4096x16), overlap pays (4096x32) =="
+# interleaved zero-copy vs overlapped runs: the schedule advise_overlap
+# picks must be within 10% of the faster one at P=8, overlap must engage
+# with zero steady payload allocations, and at P=16 overlapped must be
+# within 10% of overlap-off
 cargo run --release -p treesvd-bench --bin bench_distributed -- --smoke
 
 echo "== bench smoke: batched SoA engine vs per-problem sequential loop (8x8 x 100k) =="
