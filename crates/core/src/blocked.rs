@@ -21,12 +21,16 @@
 //! Two interchangeable kernels implement the meeting
 //! ([`BlockKernel`]): the **pairwise** oracle streams the full `m`-length
 //! columns through [`orthogonalize_pair`] O(c²) times, while the default
-//! **Gram** kernel is block one-sided Jacobi (Bečka–Okša–Vajteršic): it
-//! forms the `2c×2c` Gram matrix `G = [X Y]ᵀ[X Y]` once
-//! ([`ops::gram_block`]), runs the same cyclic pass with sorted storage on
-//! `G` *in cache* — identical rotation and interchange decisions, since
-//! `compute_rotation` only ever consumes the Gram entries — while
-//! accumulating the `2c×2c` orthogonal update `W`, and finally applies
+//! **Gram** kernel is block one-sided Jacobi (Bečka–Okša–Vajteršic). It
+//! forms the lower triangle of the `2c×2c` Gram matrix `G = [X Y]ᵀ[X Y]`
+//! once ([`ops::gram_block_lower`]), at a leading dimension padded to
+//! `2c + 1` so that strided walks over `G` do not pile into a few cache
+//! sets. It runs the same cyclic pass with sorted storage on `G` *in
+//! cache*, making identical rotation and interchange decisions, since
+//! `compute_rotation` only ever consumes the Gram entries. The pass
+//! updates the stored triangle only: a rotation writes no mirror entries
+//! and has a single strided operand (`sweep_lower`). Meanwhile it
+//! accumulates the `2c×2c` orthogonal update `W`, and finally it applies
 //! `[X Y] ← [X Y]·W` (and the `V` panel) as one blocked panel multiply
 //! ([`ops::panel_update`]). The panel is read O(1) times per meeting
 //! instead of O(c), which is what turns the dominant cost into
@@ -124,8 +128,10 @@ impl MeetingScratch {
         buf.resize(len, 0.0);
     }
 
+    /// Size the arena for a `k`-column union: `G` at leading dimension
+    /// `k + 1`, `W` at `k`.
     fn ensure(&mut self, k: usize) {
-        Self::grow(&mut self.g, k * k, &mut self.alloc_events);
+        Self::grow(&mut self.g, k * (k + 1), &mut self.alloc_events);
         Self::grow(&mut self.w, k * k, &mut self.alloc_events);
         Self::grow(&mut self.tile, k * ops::PANEL_TILE, &mut self.alloc_events);
     }
@@ -296,7 +302,7 @@ pub(crate) fn blocked_svd_inner(
         }
     }
     if !converged {
-        return Err(SvdError::NoConvergence { sweeps, last_coupling: f64::NAN });
+        return Err(SvdError::NoConvergence { sweeps, last_coupling: max_coupling(&slots, m) });
     }
     let steady_alloc_events = scratches.iter().map(|s| s.alloc_events).sum::<u64>() - warm_alloc;
 
@@ -359,6 +365,30 @@ pub(crate) fn blocked_svd_inner(
         steady_alloc_events,
         qr_frontend: false,
     })
+}
+
+/// The largest normalized coupling `|a_i·a_j| / (‖a_i‖‖a_j‖)` over every
+/// pair of nonzero columns of the final blocks — the convergence measure
+/// an unconverged run reports. Runs on the error path only; NaN if any
+/// pair's coupling is NaN.
+fn max_coupling(slots: &[BlockSlot], m: usize) -> f64 {
+    let cols: Vec<(&[f64], f64)> = slots
+        .iter()
+        .flat_map(|s| s.a.chunks_exact(m))
+        .map(|c| (c, ops::norm2(c)))
+        .filter(|&(_, norm)| norm != 0.0)
+        .collect();
+    let mut worst = 0.0_f64;
+    for (i, &(ci, ni)) in cols.iter().enumerate() {
+        for &(cj, nj) in &cols[i + 1..] {
+            let coupling = ops::dot(ci, cj).abs() / (ni * nj);
+            if coupling.is_nan() {
+                return f64::NAN;
+            }
+            worst = worst.max(coupling);
+        }
+    }
+    worst
 }
 
 /// Run the step's `P` independent meetings, forking into at most `tasks`
@@ -436,11 +466,12 @@ fn union_pair_mut<'t>(
     }
 }
 
-/// Mutable references to columns `i < j` of a `k×k` column-major matrix.
-fn two_cols(buf: &mut [f64], k: usize, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
+/// Mutable references to columns `i < j` of a column-major matrix with
+/// leading dimension `ld`.
+fn two_cols(buf: &mut [f64], ld: usize, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
     debug_assert!(i < j);
-    let (head, tail) = buf.split_at_mut(k * j);
-    (&mut head[k * i..k * (i + 1)], &mut tail[..k])
+    let (head, tail) = buf.split_at_mut(ld * j);
+    (&mut head[ld * i..ld * (i + 1)], &mut tail[..ld])
 }
 
 /// The pairwise (oracle) meeting: one cyclic pass over all column pairs of
@@ -584,13 +615,15 @@ fn hierarchical_meeting(
 
 /// One flat Gram meeting over the union `[X Y]` given as raw column
 /// panels (`xa`/`ya` the `A` columns, `xv`/`yv` the matching `V` columns,
-/// empty when vectors are off): build `G = [X Y]ᵀ[X Y]`, run the cyclic
-/// sorted pass on `G` in cache while accumulating the orthogonal update
-/// `W`, then apply `[X Y] ← [X Y]·W` (and the `V` panel) as one blocked
-/// panel multiply. The rotation and interchange decisions are computed
-/// from exactly the Gram quantities the pairwise path measures, so both
-/// kernels agree on what a meeting does (up to rounding in how the
-/// updates are realized). Returns (rotations, interchanges).
+/// empty when vectors are off): build the lower triangle of
+/// `G = [X Y]ᵀ[X Y]` at the padded leading dimension `k + 1`, run the
+/// cyclic sorted pass on it in cache ([`sweep_lower`]) while accumulating
+/// the orthogonal update `W`, then apply `[X Y] ← [X Y]·W` (and the `V`
+/// panel) as one blocked panel multiply. The rotation and interchange
+/// decisions are computed from exactly the Gram quantities the pairwise
+/// path measures, so both kernels agree on what a meeting does (up to
+/// rounding in how the updates are realized). Returns (rotations,
+/// interchanges).
 fn gram_union(
     xa: &mut [f64],
     ya: &mut [f64],
@@ -602,77 +635,104 @@ fn gram_union(
     let k = (xa.len() + ya.len()) / ctx.m;
     scratch.ensure(k);
     let MeetingScratch { g, w, tile, .. } = scratch;
-    ops::gram_block(xa, ya, ctx.m, g);
+    ops::gram_block_lower(xa, ya, ctx.m, g, k + 1);
     w.fill(0.0);
     for d in 0..k {
         w[d + k * d] = 1.0;
     }
+    let (rotations, swaps) = sweep_lower(g, k + 1, w, k, ctx.threshold, ctx.sort);
+    if rotations > 0 || swaps > 0 {
+        ops::panel_update(xa, ya, ctx.m, w, tile);
+        if ctx.v_len > 0 {
+            ops::panel_update(xv, yv, ctx.v_len, w, tile);
+        }
+    }
+    (rotations, swaps)
+}
 
+/// One rotation of the pair `(x, y)`: the per-element expression of
+/// [`apply_rotation`] (or [`apply_rotation_swapped`] when `swap`), so a
+/// scalar update here is bitwise the slice update there.
+#[inline]
+fn rotate2(c: f64, s: f64, swap: bool, x: f64, y: f64) -> (f64, f64) {
+    if swap {
+        (s * x + c * y, c * x - s * y)
+    } else {
+        (c * x - s * y, s * x + c * y)
+    }
+}
+
+/// The in-cache cyclic pass of a Gram meeting on a `k×k` Gram matrix
+/// stored **in its lower triangle only** (`G(r, c)`, `r ≥ c`, at
+/// `g[r + ld·c]`), accumulating every rotation into the `k×k` `W`
+/// (leading dimension `k`). Returns (rotations, interchanges).
+///
+/// Pair `(i, j)` reads γ as `G(j, i)` and applies the two-sided update
+/// `G ← Jᵀ(G·J)` to what is still live: every later read of the sweep
+/// touches only rows and columns `≥ i`, and `G` is rebuilt at the next
+/// meeting, so rows and columns left of the pivot are never updated.
+/// Rows `l > j` rotate as two contiguous tails of columns `i` and `j`;
+/// rows `l ∈ (i, j)` pair column `i`'s row `l` with `G(j, l)`, which
+/// stands for `G(l, j)` — the one strided operand, updated in place. The
+/// `2×2` block takes the column step, then the row step, then keeps
+/// `G(i, j)` as its off-diagonal entry. Each stored value is the same
+/// floating-point expression on the same operands as the symmetric
+/// update that writes both triangles, so `W` and the counts are bitwise
+/// those of a full-storage pass.
+fn sweep_lower(
+    g: &mut [f64],
+    ld: usize,
+    w: &mut [f64],
+    k: usize,
+    threshold: f64,
+    sort: bool,
+) -> (usize, usize) {
     let mut rotations = 0usize;
     let mut swaps = 0usize;
     for i in 0..k {
         for j in (i + 1)..k {
-            let alpha = g[i + k * i];
-            let beta = g[j + k * j];
-            let gamma = g[i + k * j];
-            let rot = compute_rotation(alpha, beta, gamma, ctx.threshold);
+            let alpha = g[i + ld * i];
+            let beta = g[j + ld * j];
+            let gamma = g[j + ld * i];
+            let rot = compute_rotation(alpha, beta, gamma, threshold);
             // predicted post-rotation norms, exactly as orthogonalize_pair
             // decides the interchange
+            let (rc, rs) = (rot.c, rot.s);
             let (alpha_pred, beta_pred) = if rot.skipped {
                 (alpha, beta)
             } else {
-                let (rc, rs) = (rot.c, rot.s);
                 (
                     rc * rc * alpha - 2.0 * rc * rs * gamma + rs * rs * beta,
                     rs * rs * alpha + 2.0 * rc * rs * gamma + rc * rc * beta,
                 )
             };
-            let want_swap = ctx.sort && beta_pred > alpha_pred;
+            let want_swap = sort && beta_pred > alpha_pred;
             if rot.skipped && !want_swap {
                 continue;
             }
-            // two-sided update G ← Jᵀ(G·J): columns i,j then rows i,j.
-            // Rows above the pivot are dead for the rest of the sweep
-            // (only entries in rows ≥ i are ever read again — see the
-            // copy-back note below), so the column rotation starts at
-            // row i.
-            let (gi, gj) = two_cols(g, k, i, j);
+            // rows strictly between the pivots: G(l, i) against G(l, j),
+            // the latter stored as G(j, l)
+            for l in (i + 1)..j {
+                let (x, y) = rotate2(rc, rs, want_swap, g[l + ld * i], g[j + ld * l]);
+                g[l + ld * i] = x;
+                g[j + ld * l] = y;
+            }
+            // rows below both pivots: two contiguous column tails
+            let (gi, gj) = two_cols(g, ld, i, j);
             if want_swap {
-                apply_rotation_swapped(rot, &mut gi[i..], &mut gj[i..]);
+                apply_rotation_swapped(rot, &mut gi[j + 1..k], &mut gj[j + 1..k]);
             } else {
-                apply_rotation(rot, &mut gi[i..], &mut gj[i..]);
+                apply_rotation(rot, &mut gi[j + 1..k], &mut gj[j + 1..k]);
             }
-            // rows i and j: G is kept bitwise symmetric, so for l ∉ {i, j}
-            // the row entries are exactly the transposes of the columns
-            // just updated — copy them instead of recomputing (the copied
-            // values equal the arithmetic update bitwise, same expression
-            // on identical inputs). Columns left of the pivot row are
-            // dead: every remaining read of this sweep — γ, the
-            // diagonals, and the rotation operands — touches only
-            // columns ≥ i, and G is rebuilt from scratch at the next
-            // meeting, so the copy starts at i + 1.
-            for l in (i + 1)..k {
-                if l != j {
-                    g[i + k * l] = g[l + k * i];
-                    g[j + k * l] = g[l + k * j];
-                }
-            }
-            // the 2×2 diagonal block still needs the row-side arithmetic;
-            // afterwards re-symmetrize its off-diagonal entry so the
-            // invariant survives the rounding-order difference
-            let (rc, rs) = (rot.c, rot.s);
-            for l in [i, j] {
-                let x = g[i + k * l];
-                let y = g[j + k * l];
-                if want_swap {
-                    g[i + k * l] = rs * x + rc * y;
-                    g[j + k * l] = rc * x - rs * y;
-                } else {
-                    g[i + k * l] = rc * x - rs * y;
-                    g[j + k * l] = rs * x + rc * y;
-                }
-            }
-            g[j + k * i] = g[i + k * j];
+            // the 2×2 block: column step on rows i and j (G(i, j) = G(j, i)
+            // going in), then the row step on columns i and j
+            let (aii, aij) = rotate2(rc, rs, want_swap, gi[i], gi[j]);
+            let (aji, ajj) = rotate2(rc, rs, want_swap, gi[j], gj[j]);
+            let (bii, _) = rotate2(rc, rs, want_swap, aii, aji);
+            let (bij, bjj) = rotate2(rc, rs, want_swap, aij, ajj);
+            gi[i] = bii;
+            gi[j] = bij;
+            gj[j] = bjj;
             // accumulate the panel update W ← W·J
             let (wi, wj) = two_cols(w, k, i, j);
             if want_swap {
@@ -686,13 +746,6 @@ fn gram_union(
             if want_swap {
                 swaps += 1;
             }
-        }
-    }
-
-    if rotations > 0 || swaps > 0 {
-        ops::panel_update(xa, ya, ctx.m, w, tile);
-        if ctx.v_len > 0 {
-            ops::panel_update(xv, yv, ctx.v_len, w, tile);
         }
     }
     (rotations, swaps)
@@ -887,16 +940,24 @@ mod tests {
 
     #[test]
     fn hierarchical_stays_zero_alloc_and_converges_on_hard_cases() {
-        // rank-deficient + forced splits + the pool path
-        let a = generate::rank_deficient(64, 24, 11, 17);
-        let mut o = opts_with(2, BlockKernel::Gram);
-        o.svd = o.svd.with_hier_blocking(HierBlocking::Cols(6));
-        o.svd.serial_cutoff = 0;
-        let run = blocked_svd(&a, &o).unwrap();
-        assert_eq!(run.svd.rank, 11);
-        assert!(run.sweeps > 1, "need a steady-state sweep to measure");
-        assert_eq!(run.steady_alloc_events, 0);
-        assert!(run.svd.orthogonality() < 1e-10);
+        // forced splits + the pool path, on a rank-deficient matrix and on
+        // ragged sub-blocks: c = 10 split by 8 gives widths 4, 4, 2, so
+        // the sub-meeting width (and the padded G) shrinks and regrows
+        // within every sweep
+        let cases = [
+            (generate::rank_deficient(64, 24, 11, 17), 6, 11),
+            (generate::random_uniform(64, 40, 20), 8, 40),
+        ];
+        for (a, cols, rank) in cases {
+            let mut o = opts_with(2, BlockKernel::Gram);
+            o.svd = o.svd.with_hier_blocking(HierBlocking::Cols(cols));
+            o.svd.serial_cutoff = 0;
+            let run = blocked_svd(&a, &o).unwrap();
+            assert_eq!(run.svd.rank, rank);
+            assert!(run.sweeps > 1, "need a steady-state sweep to measure");
+            assert_eq!(run.steady_alloc_events, 0, "hier cols = {cols}");
+            assert!(run.svd.orthogonality() < 1e-10);
+        }
     }
 
     #[test]
@@ -915,6 +976,191 @@ mod tests {
         assert_eq!(auto.svd.u, off.svd.u);
         assert_eq!(auto.svd.v, off.svd.v);
         assert_eq!(auto.sweeps, off.sweeps);
+    }
+
+    /// The full-storage in-cache pass the lower-triangle [`sweep_lower`]
+    /// replaced, kept as its bitwise oracle: `G` (`k×k`, both triangles,
+    /// bitwise symmetric) is updated two-sided, the row updates copied
+    /// from the freshly rotated columns.
+    fn sweep_full_reference(
+        g: &mut [f64],
+        w: &mut [f64],
+        k: usize,
+        threshold: f64,
+        sort: bool,
+    ) -> (usize, usize) {
+        let mut rotations = 0usize;
+        let mut swaps = 0usize;
+        for i in 0..k {
+            for j in (i + 1)..k {
+                let alpha = g[i + k * i];
+                let beta = g[j + k * j];
+                let gamma = g[i + k * j];
+                let rot = compute_rotation(alpha, beta, gamma, threshold);
+                let (alpha_pred, beta_pred) = if rot.skipped {
+                    (alpha, beta)
+                } else {
+                    let (rc, rs) = (rot.c, rot.s);
+                    (
+                        rc * rc * alpha - 2.0 * rc * rs * gamma + rs * rs * beta,
+                        rs * rs * alpha + 2.0 * rc * rs * gamma + rc * rc * beta,
+                    )
+                };
+                let want_swap = sort && beta_pred > alpha_pred;
+                if rot.skipped && !want_swap {
+                    continue;
+                }
+                let (gi, gj) = two_cols(g, k, i, j);
+                if want_swap {
+                    apply_rotation_swapped(rot, &mut gi[i..], &mut gj[i..]);
+                } else {
+                    apply_rotation(rot, &mut gi[i..], &mut gj[i..]);
+                }
+                for l in (i + 1)..k {
+                    if l != j {
+                        g[i + k * l] = g[l + k * i];
+                        g[j + k * l] = g[l + k * j];
+                    }
+                }
+                let (rc, rs) = (rot.c, rot.s);
+                for l in [i, j] {
+                    let x = g[i + k * l];
+                    let y = g[j + k * l];
+                    if want_swap {
+                        g[i + k * l] = rs * x + rc * y;
+                        g[j + k * l] = rc * x - rs * y;
+                    } else {
+                        g[i + k * l] = rc * x - rs * y;
+                        g[j + k * l] = rs * x + rc * y;
+                    }
+                }
+                g[j + k * i] = g[i + k * j];
+                let (wi, wj) = two_cols(w, k, i, j);
+                if want_swap {
+                    apply_rotation_swapped(rot, wi, wj);
+                } else {
+                    apply_rotation(rot, wi, wj);
+                }
+                if !rot.skipped {
+                    rotations += 1;
+                }
+                if want_swap {
+                    swaps += 1;
+                }
+            }
+        }
+        (rotations, swaps)
+    }
+
+    /// An `m×k` column-major test panel of one of four kinds: random,
+    /// random with zero (padding) columns, rank-deficient (repeated
+    /// columns), or random with strictly ascending column norms.
+    fn oracle_panel(m: usize, k: usize, kind: usize, seed: u64) -> Vec<f64> {
+        let mut p = generate::random_uniform(m, k, seed).as_slice().to_vec();
+        match kind {
+            1 => {
+                // the tail, as a padded last block, plus one interior column
+                for l in (k - k / 4..k).chain([k / 2]) {
+                    p[l * m..(l + 1) * m].fill(0.0);
+                }
+            }
+            2 => {
+                let r = k.div_ceil(3);
+                for l in r..k {
+                    let src = l % r;
+                    for t in 0..m {
+                        p[l * m + t] = 2.0 * p[src * m + t];
+                    }
+                }
+            }
+            3 => {
+                for (l, col) in p.chunks_exact_mut(m).enumerate() {
+                    col.iter_mut().for_each(|v| *v *= (1 + l) as f64);
+                }
+            }
+            _ => {}
+        }
+        p
+    }
+
+    #[test]
+    fn lower_sweep_is_bitwise_the_full_storage_pass() {
+        // every k to 40, then the power-of-two neighbourhoods and 260; the
+        // large sizes rotate through the panel kinds and settings
+        let ks: Vec<usize> =
+            (1..=40).chain([63, 64, 65, 127, 128, 129, 255, 256, 257, 260]).collect();
+        let mut case = 0usize;
+        for &k in &ks {
+            let settings: Vec<(usize, bool, f64)> = if k <= 40 {
+                let mut v = Vec::new();
+                for kind in 0..4 {
+                    for sort in [true, false] {
+                        for threshold in [k as f64 * f64::EPSILON, 1e-3] {
+                            v.push((kind, sort, threshold));
+                        }
+                    }
+                }
+                v
+            } else {
+                (0..2)
+                    .map(|t| {
+                        let c = case + t;
+                        (c % 4, c % 3 != 2, if c % 5 == 4 { 1e-3 } else { k as f64 * f64::EPSILON })
+                    })
+                    .collect()
+            };
+            for (kind, sort, threshold) in settings {
+                case += 1;
+                let m = k + 3;
+                let panel = oracle_panel(m, k, kind, case as u64);
+                let (x, y) = panel.split_at(m * (k / 2));
+                let mut g_full = vec![0.0; k * k];
+                ops::gram_block(x, y, m, &mut g_full);
+                let ld = k + 1;
+                let mut g_low = vec![f64::NAN; ld * k];
+                ops::gram_block_lower(x, y, m, &mut g_low, ld);
+                let identity = |d: usize| {
+                    let mut w = vec![0.0; d * d];
+                    (0..d).for_each(|l| w[l + d * l] = 1.0);
+                    w
+                };
+                let (mut w_full, mut w_low) = (identity(k), identity(k));
+                let want = sweep_full_reference(&mut g_full, &mut w_full, k, threshold, sort);
+                let got = sweep_lower(&mut g_low, ld, &mut w_low, k, threshold, sort);
+                let tag = format!("k={k} kind={kind} sort={sort} threshold={threshold:e}");
+                assert_eq!(got, want, "(rotations, swaps) at {tag}");
+                for (l, (a, b)) in w_low.iter().zip(&w_full).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "W[{l}] at {tag}");
+                }
+                for d in 0..k {
+                    let (a, b) = (g_low[d + ld * d], g_full[d + k * d]);
+                    assert_eq!(a.to_bits(), b.to_bits(), "G[{d},{d}] at {tag}");
+                }
+                if kind == 3 && sort && k > 1 {
+                    assert!(want.1 > 0, "ascending norms must force interchanges at {tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unconverged_run_reports_the_final_coupling() {
+        // one sweep is never enough for a coupled random matrix; the error
+        // carries the real coupling of the final columns, not a NaN
+        let a = generate::random_uniform(40, 32, 19);
+        for kernel in [BlockKernel::Pairwise, BlockKernel::Gram] {
+            let mut o = opts_with(2, kernel);
+            o.svd.max_sweeps = 1;
+            match blocked_svd(&a, &o) {
+                Err(SvdError::NoConvergence { sweeps, last_coupling }) => {
+                    assert_eq!(sweeps, 1);
+                    assert!(last_coupling.is_finite(), "coupling is {last_coupling}");
+                    assert!(last_coupling > 0.0, "kernel = {kernel}");
+                    assert!(last_coupling <= 1.0, "kernel = {kernel}");
+                }
+                other => panic!("expected NoConvergence, got {other:?}"),
+            }
+        }
     }
 
     #[test]

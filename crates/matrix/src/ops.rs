@@ -599,53 +599,69 @@ fn dot4(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [f64; 4] {
 /// column-major panels (`k = (x.len() + y.len()) / m`), written
 /// column-major into `g` (both triangles).
 ///
-/// The upper triangle is computed in 2×2 register blocks by [`dot4`]
-/// (four reductions per pass, every load shared by two of them) with the
-/// `2×2` diagonal blocks falling out of one fused [`gram3`] each; the
-/// lower triangle is mirrored. Columns are walked at full length — the
-/// union panels this serves are L2-resident, and each column is read
-/// `k/2` times instead of the `k` times of unblocked dots.
+/// [`gram_block_lower`] at leading dimension `k`, then the lower triangle
+/// mirrored into the upper, so both triangles hold the same bits.
 ///
 /// # Panics
 /// Panics if a panel length is not a multiple of `m`, or if `g.len() != k²`.
 pub fn gram_block(x: &[f64], y: &[f64], m: usize, g: &mut [f64]) {
+    let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
+    assert_eq!(g.len(), k * k, "gram_block: output must be k×k");
+    gram_block_lower(x, y, m, g, k);
+    for j in 0..k {
+        for i in 0..j {
+            g[i + k * j] = g[j + k * i];
+        }
+    }
+}
+
+/// The lower triangle (diagonal included) of `G = [X Y]ᵀ[X Y]`, written
+/// column-major into `g` with leading dimension `ld`: `G(r, c)` for
+/// `r ≥ c` lands in `g[r + ld·c]`, and nothing else in `g` is touched.
+///
+/// Off-diagonal entries come in 2×2 register blocks from [`dot4`] (four
+/// reductions per pass, every load shared by two of them) and the `2×2`
+/// diagonal blocks fall out of one fused [`gram3`] each; with odd `k` the
+/// last row is plain [`dot`]s plus one [`norm2_sq`]. Columns are walked
+/// at full length — the union panels this serves are L2-resident, and
+/// each column is read `k/2` times instead of the `k` times of unblocked
+/// dots. A leading dimension off the power of two (`k + 1`) keeps the
+/// rows of a strided walk over `g` out of each other's cache sets.
+///
+/// # Panics
+/// Panics if a panel length is not a multiple of `m`, if `ld < k`, or if
+/// `g.len() < ld·k`.
+pub fn gram_block_lower(x: &[f64], y: &[f64], m: usize, g: &mut [f64], ld: usize) {
     assert_eq!(x.len() % m.max(1), 0, "gram_block: x is not whole columns");
     assert_eq!(y.len() % m.max(1), 0, "gram_block: y is not whole columns");
     let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
-    assert_eq!(g.len(), k * k, "gram_block: output must be k×k");
-    if k == 0 {
-        return;
-    }
+    assert!(ld >= k, "gram_block_lower: leading dimension below k");
+    assert!(g.len() >= ld * k, "gram_block_lower: output shorter than ld·k");
     let ke = k & !1;
     for jb in (0..ke).step_by(2) {
         let cj0 = union_col(x, y, m, jb);
         let cj1 = union_col(x, y, m, jb + 1);
         let (aa, bb, ab) = gram3(cj0, cj1);
-        g[jb + k * jb] = aa;
-        g[jb + 1 + k * (jb + 1)] = bb;
-        g[jb + k * (jb + 1)] = ab;
+        g[jb + ld * jb] = aa;
+        g[jb + 1 + ld * (jb + 1)] = bb;
+        g[jb + 1 + ld * jb] = ab;
         for ib in (0..jb).step_by(2) {
             let ci0 = union_col(x, y, m, ib);
             let ci1 = union_col(x, y, m, ib + 1);
             let d = dot4(ci0, ci1, cj0, cj1);
-            g[ib + k * jb] = d[0];
-            g[ib + 1 + k * jb] = d[1];
-            g[ib + k * (jb + 1)] = d[2];
-            g[ib + 1 + k * (jb + 1)] = d[3];
+            g[jb + ld * ib] = d[0];
+            g[jb + ld * (ib + 1)] = d[1];
+            g[jb + 1 + ld * ib] = d[2];
+            g[jb + 1 + ld * (ib + 1)] = d[3];
         }
     }
     if k != ke {
         let j = k - 1;
         let cj = union_col(x, y, m, j);
         for i in 0..j {
-            g[i + k * j] = dot(union_col(x, y, m, i), cj);
+            g[j + ld * i] = dot(union_col(x, y, m, i), cj);
         }
-        g[j + k * j] = norm2_sq(cj);
-    }
-    for j in 0..k {
-        for i in 0..j {
-            g[j + k * i] = g[i + k * j];
-        }
+        g[j + ld * j] = norm2_sq(cj);
     }
 }
 
@@ -1408,6 +1424,45 @@ mod tests {
                         (got - want).abs() <= 1e-12 * (m as f64),
                         "G[{i},{j}] m={m} cx={cx} cy={cy}: {got} vs {want}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_block_lower_matches_gram_block_at_any_leading_dimension() {
+        // odd k (the dot/norm2_sq tail), k = 1, an empty y, and a split
+        // straddling the tile boundary
+        for (m, cx, cy) in [(5, 2, 3), (PANEL_TILE + 7, 3, 4), (300, 1, 0), (9, 5, 0), (37, 4, 4)] {
+            let x = test_panel(m, cx, 6);
+            let y = test_panel(m, cy, 7);
+            let k = cx + cy;
+            let mut full = vec![0.0; k * k];
+            gram_block(&x, &y, m, &mut full);
+            for ld in [k, k + 1, k + 8] {
+                let mut g = vec![f64::NAN; ld * k];
+                gram_block_lower(&x, &y, m, &mut g, ld);
+                for c in 0..k {
+                    for r in 0..k {
+                        let got = g[r + ld * c];
+                        if r >= c {
+                            assert_eq!(
+                                got.to_bits(),
+                                full[r + k * c].to_bits(),
+                                "({r},{c}) ld={ld}"
+                            );
+                            assert_eq!(
+                                got.to_bits(),
+                                full[c + k * r].to_bits(),
+                                "mirror ({c},{r})"
+                            );
+                        } else {
+                            assert!(got.is_nan(), "upper ({r},{c}) written at ld={ld}");
+                        }
+                    }
+                    for r in k..ld {
+                        assert!(g[r + ld * c].is_nan(), "padding row {r} written at ld={ld}");
+                    }
                 }
             }
         }
