@@ -234,6 +234,22 @@ mod tests {
     }
 
     #[test]
+    fn two_lane_pool_frontend_is_steady_state_clean() {
+        // the 2-lane TSQR (two panels) through the worker pool, alone and
+        // inside the blocked pipeline
+        let a = generate::random_uniform(16384, 64, 28);
+        let qr_opts = QrOptions { lanes: 2, ..QrOptions::default() };
+        let qr = TsqrQr::factor(&a, &qr_opts, &PoolJoin).unwrap();
+        assert_eq!(qr.stats().panels, 2);
+        assert_eq!(qr.stats().steady_alloc_events, 0, "2-lane TSQR grew its arenas");
+        let mut opts = BlockedOptions::for_processors(2);
+        opts.svd = fe_opts().with_threads(Some(2));
+        let run = blocked_svd(&a, &opts).unwrap();
+        assert!(run.qr_frontend);
+        assert_eq!(run.steady_alloc_events, 0, "2-lane front-end pipeline allocated");
+    }
+
+    #[test]
     fn frontend_below_crossover_is_bitwise_direct() {
         // an engaged-off run must be *identical* to the plain driver, not
         // just close: the option defaults cannot perturb existing results

@@ -10,12 +10,21 @@
 //! * **Panel factorization** proceeds left to right in panels of
 //!   [`QrOptions::panel`] columns. Each panel's rows are split into *row
 //!   tiles* sized to the L2 cache ([`crate::cache::l2_bytes`]); every
-//!   tile is reduced by an in-cache Householder QR, and the per-tile `R`
+//!   tile is reduced in cache by a recursive compact-WY Householder QR
+//!   (Elmroth–Gustavson, LAPACK `dgeqrt3`), and the per-tile `R`
 //!   factors are merged pairwise up a binary tree (the TSQR reduction of
 //!   Faverge–Langou–Robert–Dongarra, arXiv 1611.06892) — the same tree
 //!   shape the paper's orderings sweep on. Tiles are independent, so the
 //!   leaf factorizations fan out over the caller's fork–join hook
 //!   ([`Joiner`]).
+//! * **Recursive leaf and combine factorization**: a node's columns are
+//!   split in half; the left half is factored, applied to the right half
+//!   as one block reflector (the same GEMM pair as every other
+//!   application), and the right half is factored. Only the one-column
+//!   base case (a `dlarfg`-style reflector) touches a single column, so
+//!   most of the factor runs as level-3 work. The recursion also yields
+//!   the node's `T` directly, `T₁₂ = −T₁₁·(V₁ᵀV₂)·T₂₂`, instead of
+//!   rebuilding it from a full `VᵀV`.
 //! * **Compact-WY blocking**: every tree node stores its reflectors as an
 //!   explicit unit-lower-trapezoidal `V` plus the upper-triangular `T` of
 //!   `Q_node = I − V·T·Vᵀ`, so applying a node to `k` columns is two
@@ -83,13 +92,14 @@ impl Default for QrOptions {
 
 impl QrOptions {
     /// The effective leaf height for a panel of width `bw`: the explicit
-    /// override, else `L2/2` worth of tile rows, floored at two panels'
-    /// worth so the tree does not degenerate on tiny caches.
+    /// override, else `L2/2` worth of tile rows capped at 16384, then
+    /// floored at two panels' worth so the tree does not degenerate on
+    /// tiny caches (the floor wins over the cap for very wide panels).
     fn leaf_height(&self, bw: usize) -> usize {
         if self.leaf_rows > 0 {
             self.leaf_rows.max(bw)
         } else {
-            (crate::cache::l2_bytes() / (16 * bw.max(1))).clamp(2 * bw, 16384)
+            (crate::cache::l2_bytes() / (16 * bw.max(1))).min(16384).max(2 * bw)
         }
     }
 }
@@ -151,9 +161,7 @@ struct PanelFactor {
 /// growth after warm-up is counted.
 #[derive(Debug, Default)]
 struct QrScratch {
-    /// Householder scalars of the node being factored.
-    tau: Vec<f64>,
-    /// `VᵀV` while building `T`, and the stacked-`R` buffer of combines.
+    /// The `W` and `V₁ᵀV₂` products of the recursive factorization.
     s: Vec<f64>,
     /// `W = VᵀC` of a block-reflector application.
     w: Vec<f64>,
@@ -171,8 +179,7 @@ impl QrScratch {
     }
 
     fn ensure_factor(&mut self, bw: usize) {
-        Self::grow(&mut self.tau, bw, &mut self.alloc_events);
-        Self::grow(&mut self.s, (2 * bw) * bw, &mut self.alloc_events);
+        Self::grow(&mut self.s, (bw / 2) * (bw - bw / 2), &mut self.alloc_events);
     }
 
     fn ensure_apply(&mut self, bw: usize, k: usize) {
@@ -193,80 +200,103 @@ pub struct TsqrQr {
     stats: QrStats,
 }
 
-/// In-place Householder QR of a dense `h × bw` column-major tile
-/// (`h ≥ bw`): on return the upper triangle holds `R`, the strict lower
-/// trapezoid the reflector tails (scaled so the implicit diagonal is 1),
-/// and `tau` the reflector scalars (`tau[j] = 0` means `H_j = I`).
-fn house_qr(buf: &mut [f64], h: usize, bw: usize, tau: &mut [f64]) {
-    debug_assert!(h >= bw && buf.len() == h * bw);
-    for j in 0..bw {
-        let (head, tail) = buf.split_at_mut((j + 1) * h);
-        let colj = &mut head[j * h..];
-        let alpha = colj[j];
-        let xnorm = ops::norm2(&colj[j + 1..]);
-        if xnorm == 0.0 {
-            tau[j] = 0.0; // H_j = I; the diagonal entry is already R's
-            continue;
-        }
-        let beta = -alpha.signum() * f64::hypot(alpha, xnorm);
-        tau[j] = (beta - alpha) / beta;
-        ops::scal(1.0 / (alpha - beta), &mut colj[j + 1..]);
-        colj[j] = beta;
-        // apply H_j to the remaining columns of the tile
-        for coll in tail.chunks_exact_mut(h) {
-            let w = coll[j] + ops::dot(&colj[j + 1..], &coll[j + 1..]);
-            let tw = tau[j] * w;
-            coll[j] -= tw;
-            ops::axpy(-tw, &colj[j + 1..], &mut coll[j + 1..]);
-        }
-    }
-}
-
-/// Split a factored tile into `(R, explicit V)`: copy the upper triangle
-/// into `r` (dense `bw×bw`, zeros below), then overwrite the tile with
-/// the explicit unit-lower-trapezoidal `V` (ones on the diagonal, zeros
-/// above) so block applications are plain GEMMs.
-fn split_r_v(buf: &mut [f64], h: usize, bw: usize, r: &mut [f64]) {
-    debug_assert!(r.len() >= bw * bw);
-    for j in 0..bw {
-        let col = &mut buf[j * h..(j + 1) * h];
-        for i in 0..bw {
-            r[i + bw * j] = if i <= j { col[i] } else { 0.0 };
-        }
-        col[..j].fill(0.0);
-        col[j] = 1.0;
-    }
-}
-
-/// Build the compact-WY `T` (upper triangular, forward accumulation) from
-/// an explicit `V` and its `tau`s: `T[j,j] = τ_j`,
-/// `T(0..j, j) = −τ_j · T(0..j,0..j) · (Vᵀ v_j)`.
-fn build_t(v: &[f64], h: usize, bw: usize, tau: &[f64], s: &mut [f64], t: &mut [f64]) {
-    debug_assert!(s.len() >= bw * bw && t.len() == bw * bw);
-    ops::gemm_tn(h, v, h, bw, v, h, bw, &mut s[..bw * bw]);
+/// Recursive compact-WY QR of a dense `h × bw` column-major tile
+/// (`h ≥ bw`), after Elmroth–Gustavson and LAPACK `dgeqrt3`. On return
+/// the tile holds the explicit unit-lower-trapezoidal `V` (ones on the
+/// diagonal, zeros above), `r` (dense `bw×bw`) holds `R` with zeros
+/// below the diagonal, and `t` the upper-triangular `T` of
+/// `Q = I − V·T·Vᵀ`, produced by the recursion itself rather than
+/// rebuilt from `VᵀV`. `s` needs `⌊bw/2⌋·⌈bw/2⌉` entries.
+fn rec_qr(buf: &mut [f64], h: usize, bw: usize, r: &mut [f64], t: &mut [f64], s: &mut [f64]) {
+    debug_assert!(h >= bw && buf.len() == h * bw && r.len() == bw * bw && t.len() == bw * bw);
     t.fill(0.0);
-    for j in 0..bw {
-        t[j + bw * j] = tau[j];
-        for i in (0..j).rev() {
+    rec_qr_cols(buf, h, bw, 0, bw, r, t, s);
+}
+
+/// Factor columns `c0..c0+nb` of the tile (rows `c0..h`), assuming every
+/// reflector left of `c0` has already been applied to them.
+#[allow(clippy::too_many_arguments)]
+fn rec_qr_cols(
+    buf: &mut [f64],
+    h: usize,
+    bw: usize,
+    c0: usize,
+    nb: usize,
+    r: &mut [f64],
+    t: &mut [f64],
+    s: &mut [f64],
+) {
+    if nb == 1 {
+        // dlarfg-style reflector for column c0, then split it into its
+        // R column and its explicit V column
+        let col = &mut buf[c0 * h..(c0 + 1) * h];
+        let alpha = col[c0];
+        let xnorm = ops::norm2(&col[c0 + 1..]);
+        let (beta, tau) = if xnorm == 0.0 {
+            (alpha, 0.0) // H = I; the diagonal entry is already R's
+        } else {
+            let beta = -alpha.signum() * f64::hypot(alpha, xnorm);
+            ops::scal(1.0 / (alpha - beta), &mut col[c0 + 1..]);
+            (beta, (beta - alpha) / beta)
+        };
+        let rcol = &mut r[c0 * bw..(c0 + 1) * bw];
+        rcol[..c0].copy_from_slice(&col[..c0]);
+        rcol[c0] = beta;
+        rcol[c0 + 1..].fill(0.0);
+        col[..c0].fill(0.0);
+        col[c0] = 1.0;
+        t[c0 + bw * c0] = tau;
+        return;
+    }
+    let (n1, n2) = (nb / 2, nb - nb / 2);
+    let c1 = c0 + n1;
+    rec_qr_cols(buf, h, bw, c0, n1, r, t, s);
+    // apply Q₁ᵀ = I − V₁·T₁₁ᵀ·V₁ᵀ to the right half, rows c0..h
+    {
+        let (left, right) = buf.split_at_mut(c1 * h);
+        let v1 = &left[c0 * h + c0..];
+        let t11 = &t[c0 + bw * c0..];
+        apply_wy(v1, h, h - c0, n1, t11, bw, true, &mut right[..n2 * h], c0, h, n2, s);
+    }
+    rec_qr_cols(buf, h, bw, c1, n2, r, t, s);
+    // T₁₂ = −T₁₁·(V₁ᵀV₂)·T₂₂; V₂ is zero above row c1
+    let x = &mut s[..n1 * n2];
+    ops::gemm_tn(h - c1, &buf[c0 * h + c1..], h, n1, &buf[c1 * h + c1..], h, n2, x);
+    // X ← X·T₂₂ in place: column j needs columns ≤ j, so descend
+    for j in (0..n2).rev() {
+        for i in 0..n1 {
             let mut acc = 0.0;
-            for l in i..j {
-                acc += t[i + bw * l] * s[l + bw * j];
+            for l in 0..=j {
+                acc += x[i + n1 * l] * t[c1 + l + bw * (c1 + j)];
             }
-            t[i + bw * j] = -tau[j] * acc;
+            x[i + n1 * j] = acc;
+        }
+    }
+    // T₁₂ ← −T₁₁·X
+    for (j, xc) in x.chunks_exact(n1).enumerate() {
+        for i in 0..n1 {
+            let mut acc = 0.0;
+            for l in i..n1 {
+                acc += t[c0 + i + bw * (c0 + l)] * xc[l];
+            }
+            t[c0 + i + bw * (c1 + j)] = -acc;
         }
     }
 }
 
-/// Apply the block reflector `(I − V·op(T)·Vᵀ)` of one tree node to `k`
-/// columns of a strided column-major view: column `j` of `C` is
-/// `c[base + j·ldc ..][..h]`. `trans` selects `op(T) = Tᵀ` (the `Qᵀ`
-/// direction) over `T`.
+/// Apply the block reflector `(I − V·op(T)·Vᵀ)` of `nb` reflectors to
+/// `k` columns of a strided column-major view: column `j` of `V` is
+/// `v[j·ldv ..][..rows]`, `T` is `nb×nb` with column stride `ldt`, and
+/// column `j` of `C` is `c[base + j·ldc ..][..rows]`. `trans` selects
+/// `op(T) = Tᵀ` (the `Qᵀ` direction) over `T`.
 #[allow(clippy::too_many_arguments)]
 fn apply_wy(
     v: &[f64],
-    h: usize,
-    bw: usize,
+    ldv: usize,
+    rows: usize,
+    nb: usize,
     t: &[f64],
+    ldt: usize,
     trans: bool,
     c: &mut [f64],
     base: usize,
@@ -277,31 +307,31 @@ fn apply_wy(
     if k == 0 {
         return;
     }
-    let w = &mut w[..bw * k];
-    ops::gemm_tn(h, v, h, bw, &c[base..], ldc, k, w);
+    let w = &mut w[..nb * k];
+    ops::gemm_tn(rows, v, ldv, nb, &c[base..], ldc, k, w);
     // triangular multiply in place, one column of W at a time
-    for col in w.chunks_exact_mut(bw) {
+    for col in w.chunks_exact_mut(nb) {
         if trans {
             // W ← Tᵀ·W: row i needs rows ≤ i, so descend
-            for i in (0..bw).rev() {
+            for i in (0..nb).rev() {
                 let mut acc = 0.0;
                 for l in 0..=i {
-                    acc += t[l + bw * i] * col[l];
+                    acc += t[l + ldt * i] * col[l];
                 }
                 col[i] = acc;
             }
         } else {
             // W ← T·W: row i needs rows ≥ i, so ascend
-            for i in 0..bw {
+            for i in 0..nb {
                 let mut acc = 0.0;
-                for l in i..bw {
-                    acc += t[i + bw * l] * col[l];
+                for l in i..nb {
+                    acc += t[i + ldt * l] * col[l];
                 }
                 col[i] = acc;
             }
         }
     }
-    ops::gemm_acc(h, v, h, bw, w, k, -1.0, &mut c[base..], ldc);
+    ops::gemm_acc(rows, v, ldv, nb, w, k, -1.0, &mut c[base..], ldc);
 }
 
 /// Apply one panel's whole reflector tree to a contiguous column chunk
@@ -320,7 +350,10 @@ fn apply_panel(
     s.ensure_apply(p.bw, k);
     let leaves = |c: &mut [f64], s: &mut QrScratch| {
         for leaf in &p.leaves {
-            apply_wy(&leaf.v, leaf.rows, p.bw, &leaf.t, trans, c, leaf.row0, ldc, k, &mut s.w);
+            apply_wy(
+                &leaf.v, leaf.rows, leaf.rows, p.bw, &leaf.t, p.bw, trans, c, leaf.row0, ldc, k,
+                &mut s.w,
+            );
         }
     };
     let combine = |cb: &Combine, c: &mut [f64], s: &mut QrScratch| {
@@ -332,7 +365,7 @@ fn apply_panel(
             s.stack[j * h..j * h + p.bw].copy_from_slice(&col[r0..r0 + p.bw]);
             s.stack[j * h + p.bw..(j + 1) * h].copy_from_slice(&col[r1..r1 + p.bw]);
         }
-        apply_wy(&cb.v, h, p.bw, &cb.t, trans, &mut s.stack, 0, h, k, &mut s.w);
+        apply_wy(&cb.v, h, h, p.bw, &cb.t, p.bw, trans, &mut s.stack, 0, h, k, &mut s.w);
         for j in 0..k {
             let col = &mut c[j * ldc..];
             col[r0..r0 + p.bw].copy_from_slice(&s.stack[j * h..j * h + p.bw]);
@@ -449,9 +482,7 @@ impl TsqrQr {
                     let src = &work_ref[(col0 + j) * m + leaf.row0..][..leaf.rows];
                     leaf.v[j * leaf.rows..(j + 1) * leaf.rows].copy_from_slice(src);
                 }
-                house_qr(&mut leaf.v, leaf.rows, bw, &mut s.tau);
-                split_r_v(&mut leaf.v, leaf.rows, bw, r);
-                build_t(&leaf.v, leaf.rows, bw, &s.tau, &mut s.s, &mut leaf.t);
+                rec_qr(&mut leaf.v, leaf.rows, bw, r, &mut leaf.t, &mut s.s);
             });
             let mut rs: Vec<Vec<f64>> = Vec::with_capacity(nl);
             let mut leaf_nodes: Vec<Leaf> = Vec::with_capacity(nl);
@@ -483,11 +514,8 @@ impl TsqrQr {
                         v[j * h + bw..(j + 1) * h]
                             .copy_from_slice(&rs[right][j * bw..(j + 1) * bw]);
                     }
-                    house_qr(&mut v, h, bw, &mut s0.tau);
                     // the merged R overwrites the left child's
-                    let (rl, s) = (&mut rs[left], &mut s0.s);
-                    split_r_v(&mut v, h, bw, rl);
-                    build_t(&v, h, bw, &s0.tau, s, &mut t);
+                    rec_qr(&mut v, h, bw, &mut rs[left], &mut t, &mut s0.s);
                     combines.push(Combine { left, right, v, t });
                     next.push(left);
                 }
@@ -605,6 +633,75 @@ mod tests {
     use super::*;
     use crate::{checks, generate};
 
+    /// Reference column-at-a-time Householder QR of an `h × bw` tile:
+    /// the upper triangle ends up holding `R`, the strict lower trapezoid
+    /// the reflector tails, `tau` the reflector scalars.
+    fn house_qr(buf: &mut [f64], h: usize, bw: usize, tau: &mut [f64]) {
+        for j in 0..bw {
+            let (head, tail) = buf.split_at_mut((j + 1) * h);
+            let colj = &mut head[j * h..];
+            let alpha = colj[j];
+            let xnorm = ops::norm2(&colj[j + 1..]);
+            if xnorm == 0.0 {
+                tau[j] = 0.0;
+                continue;
+            }
+            let beta = -alpha.signum() * f64::hypot(alpha, xnorm);
+            tau[j] = (beta - alpha) / beta;
+            ops::scal(1.0 / (alpha - beta), &mut colj[j + 1..]);
+            colj[j] = beta;
+            for coll in tail.chunks_exact_mut(h) {
+                let w = coll[j] + ops::dot(&colj[j + 1..], &coll[j + 1..]);
+                let tw = tau[j] * w;
+                coll[j] -= tw;
+                ops::axpy(-tw, &colj[j + 1..], &mut coll[j + 1..]);
+            }
+        }
+    }
+
+    /// Split a [`house_qr`] tile into `R` and the explicit unit-lower `V`.
+    fn split_r_v(buf: &mut [f64], h: usize, bw: usize, r: &mut [f64]) {
+        for j in 0..bw {
+            let col = &mut buf[j * h..(j + 1) * h];
+            for i in 0..bw {
+                r[i + bw * j] = if i <= j { col[i] } else { 0.0 };
+            }
+            col[..j].fill(0.0);
+            col[j] = 1.0;
+        }
+    }
+
+    /// Reference forward-accumulated `T` rebuilt from `VᵀV`:
+    /// `T[j,j] = τ_j`, `T(0..j, j) = −τ_j · T(0..j,0..j) · (Vᵀ v_j)`.
+    fn build_t(v: &[f64], h: usize, bw: usize, tau: &[f64]) -> Vec<f64> {
+        let mut s = vec![0.0; bw * bw];
+        ops::gemm_tn(h, v, h, bw, v, h, bw, &mut s);
+        let mut t = vec![0.0; bw * bw];
+        for j in 0..bw {
+            t[j + bw * j] = tau[j];
+            for i in (0..j).rev() {
+                let mut acc = 0.0;
+                for l in i..j {
+                    acc += t[i + bw * l] * s[l + bw * j];
+                }
+                t[i + bw * j] = -tau[j] * acc;
+            }
+        }
+        t
+    }
+
+    fn max_abs(x: &[f64]) -> f64 {
+        x.iter().fold(0.0, |m, y| m.max(y.abs()))
+    }
+
+    fn max_diff(x: &[f64], y: &[f64]) -> f64 {
+        x.iter().zip(y).fold(0.0, |m, (a, b)| m.max((a - b).abs()))
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|y| y.to_bits()).collect()
+    }
+
     fn factor_opts(panel: usize, leaf_rows: usize) -> QrOptions {
         QrOptions { panel, leaf_rows, lanes: 1 }
     }
@@ -716,5 +813,79 @@ mod tests {
         let qr = TsqrQr::factor(&a, &factor_opts(8, 50), &SerialJoin).unwrap();
         assert!(qr.stats().panels >= 6);
         assert_eq!(qr.stats().steady_alloc_events, 0);
+    }
+
+    #[test]
+    fn recursive_factor_matches_householder_reference() {
+        let tol = 64.0 * f64::EPSILON;
+        for bw in [1usize, 2, 3, 7, 8, 31, 32, 33, 64] {
+            let zero_cols = [0, bw / 2, bw - 1];
+            for h in [bw, bw + 1, 4096] {
+                for with_zeros in [false, true] {
+                    let a = generate::random_uniform(h, bw, (131 * h + bw) as u64);
+                    let mut a = a.as_slice().to_vec();
+                    if with_zeros {
+                        for j in zero_cols {
+                            a[j * h..(j + 1) * h].fill(0.0);
+                        }
+                    }
+                    let ctx = format!("bw {bw}, h {h}, zeros {with_zeros}");
+                    let (mut v_ref, mut r_ref, mut tau) =
+                        (a.clone(), vec![0.0; bw * bw], vec![0.0; bw]);
+                    house_qr(&mut v_ref, h, bw, &mut tau);
+                    split_r_v(&mut v_ref, h, bw, &mut r_ref);
+
+                    let (mut v, mut r, mut t) =
+                        (a, vec![f64::NAN; bw * bw], vec![f64::NAN; bw * bw]);
+                    let mut s = vec![0.0; (bw / 2) * (bw - bw / 2)];
+                    rec_qr(&mut v, h, bw, &mut r, &mut t, &mut s);
+
+                    let diag: Vec<f64> = (0..bw).map(|j| t[j + bw * j]).collect();
+                    let t_ref = build_t(&v, h, bw, &diag);
+                    let dt = max_diff(&t, &t_ref);
+                    assert!(dt <= tol * max_abs(&t_ref), "T differs by {dt:.3e} ({ctx})");
+                    let dr = max_diff(&r, &r_ref);
+                    assert!(dr <= tol * max_abs(&r_ref), "R differs by {dr:.3e} ({ctx})");
+                    if with_zeros {
+                        for j in zero_cols {
+                            for i in 0..bw {
+                                assert_eq!(t[j + bw * i], 0.0, "T({j},{i}) ({ctx})");
+                                assert_eq!(t[i + bw * j], 0.0, "T({i},{j}) ({ctx})");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn factor_is_bitwise_scale_equivariant() {
+        let cases = [
+            (16384, 64, QrOptions::default()),
+            (300, 37, factor_opts(8, 50)),
+            (97, 13, factor_opts(5, 20)),
+        ];
+        for (m, n, opts) in cases {
+            let a = generate::random_uniform(m, n, (m + n) as u64);
+            let base = TsqrQr::factor(&a, &opts, &SerialJoin).unwrap();
+            let q0 = base.thin_q(&SerialJoin);
+            for k in [-500, -100, 100, 500] {
+                let f = 2f64.powi(k);
+                let mut b = a.clone();
+                b.scale(f);
+                let qr = TsqrQr::factor(&b, &opts, &SerialJoin).unwrap();
+                let want_r: Vec<f64> = base.r().as_slice().iter().map(|y| f * y).collect();
+                assert_eq!(bits(qr.r().as_slice()), bits(&want_r), "R of {m}×{n} at 2^{k}");
+                let q = qr.thin_q(&SerialJoin);
+                assert_eq!(bits(q.as_slice()), bits(q0.as_slice()), "Q of {m}×{n} at 2^{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_height_floor_wins_over_cap_for_wide_panels() {
+        assert_eq!(QrOptions::default().leaf_height(9000), 18000);
+        assert!((64..=16384).contains(&QrOptions::default().leaf_height(32)));
     }
 }
