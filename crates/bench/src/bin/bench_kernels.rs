@@ -12,7 +12,10 @@
 //! the derived unrolled-over-naive and fused-over-unfused speedups and a
 //! `meta` provenance block (SIMD tier, lane width, thread budget, seed;
 //! `--seed N` overrides the default 42) — to
-//! `BENCH_kernels.json` at the repository root. The smoke run is the
+//! `BENCH_kernels.json` at the repository root. It also times the
+//! level-3 kernels of the blocked meeting and the TSQR apply
+//! (`gram_block_lower`, `panel_update`, `gemm_tn`, `gemm_acc`) at the
+//! shapes those paths run, reported as GF/s in a `level3` list. The smoke run is the
 //! cheap regression gate used by `scripts/verify.sh`: on 64 column pairs
 //! of length 512 the fused rotate-and-measure kernel must not be slower
 //! than the unfused rotate-then-renormalize sequence it replaced.
@@ -53,6 +56,123 @@ fn columns(m: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let a: Vec<f64> = (0..m).map(|_| rng.uniform(-1.0, 1.0)).collect();
     let b: Vec<f64> = (0..m).map(|_| rng.uniform(-1.0, 1.0)).collect();
     (a, b)
+}
+
+/// Orthogonal `k×k` column-major matrix: `rotations` Givens rotations
+/// on random column pairs of the identity when `Some`, else the dense
+/// Householder reflector `I − 2vvᵀ/(vᵀv)`. Orthogonal so that applying it
+/// over and over keeps the panel's magnitude.
+fn orthogonal(k: usize, rotations: Option<usize>, seed: u64) -> Vec<f64> {
+    let mut rng = treesvd_matrix::rng::Rng::seed_from_u64(seed);
+    let mut w = vec![0.0; k * k];
+    match rotations {
+        Some(n) => {
+            for d in 0..k {
+                w[d + k * d] = 1.0;
+            }
+            for _ in 0..n {
+                let (p, q) = (rng.next_below(k), rng.next_below(k));
+                if p == q {
+                    continue;
+                }
+                let t = rng.uniform(0.0, std::f64::consts::TAU);
+                let (c, s) = (t.cos(), t.sin());
+                for r in 0..k {
+                    let (x, y) = (w[r + k * p], w[r + k * q]);
+                    w[r + k * p] = c * x - s * y;
+                    w[r + k * q] = s * x + c * y;
+                }
+            }
+        }
+        None => {
+            let v: Vec<f64> = (0..k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let scale = 2.0 / v.iter().map(|x| x * x).sum::<f64>();
+            for j in 0..k {
+                for i in 0..k {
+                    w[i + k * j] = f64::from(u8::from(i == j)) - scale * v[i] * v[j];
+                }
+            }
+        }
+    }
+    w
+}
+
+/// One level-3 kernel timing: `flops` is the dense operation count, so a
+/// near-identity `W` (whose exact zeros are skipped) reads as the rate a
+/// dense product would need to match it.
+struct Level3 {
+    kernel: &'static str,
+    shape: String,
+    ns_per_iter: f64,
+    flops: f64,
+}
+
+/// Time the level-3 kernels at the shapes the blocked meeting and the
+/// TSQR apply run: Gram builds of 512×128 and 512×256 unions, the panel
+/// update of a 128-column union at 512 and 256 rows with a dense and a
+/// near-identity (16 rotations) `W`, and a 4096×32 leaf reflector block
+/// applied to 64 columns (`gemm_tn` for `VᵀC`, `gemm_acc` for `C − V·W`).
+fn bench_level3(seed: u64) -> Vec<Level3> {
+    let mut rng = treesvd_matrix::rng::Rng::seed_from_u64(seed);
+    let mut fill = |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+    let mut out = Vec::new();
+    for k in [128usize, 256] {
+        let m = 512;
+        let (x, y) = (fill(m * k / 2), fill(m * k / 2));
+        let mut g = vec![0.0; (k + 1) * k];
+        let ns = time_ns(|| {
+            ops::gram_block_lower(&x, &y, m, &mut g, k + 1);
+            g[0]
+        });
+        let shape = format!("{m}x{k}");
+        out.push(Level3 {
+            kernel: "gram_block_lower",
+            shape,
+            ns_per_iter: ns,
+            flops: (m * k * (k + 1)) as f64,
+        });
+    }
+    let k = 128;
+    for m in [512usize, 256] {
+        for (kind, rotations) in [("dense", None), ("near_identity", Some(16))] {
+            let w = orthogonal(k, rotations, seed ^ m as u64);
+            let (mut x, mut y) = (fill(m * k / 2), fill(m * k / 2));
+            let mut tile = vec![0.0; k * ops::PANEL_TILE];
+            let ns = time_ns(|| {
+                ops::panel_update(&mut x, &mut y, m, &w, &mut tile);
+                x[0]
+            });
+            out.push(Level3 {
+                kernel: if kind == "dense" {
+                    "panel_update_dense"
+                } else {
+                    "panel_update_near_identity"
+                },
+                shape: format!("{m}x{k}"),
+                ns_per_iter: ns,
+                flops: (2 * m * k * k) as f64,
+            });
+        }
+    }
+    let (rows, nb, q) = (4096usize, 32usize, 64usize);
+    let (v, mut c) = (fill(rows * nb), fill(rows * q));
+    let mut w = vec![0.0; nb * q];
+    let shape = format!("{rows}x{nb}x{q}");
+    let flops = (2 * rows * nb * q) as f64;
+    let ns = time_ns(|| {
+        ops::gemm_tn(rows, &v, rows, nb, &c, rows, q, &mut w);
+        w[0]
+    });
+    out.push(Level3 { kernel: "gemm_tn", shape: shape.clone(), ns_per_iter: ns, flops });
+    // alternate the sign so C stays bounded over the repetitions
+    let mut alpha = -1.0;
+    let ns = time_ns(|| {
+        ops::gemm_acc(rows, &v, rows, nb, &w, q, alpha, &mut c, rows);
+        alpha = -alpha;
+        c[0]
+    });
+    out.push(Level3 { kernel: "gemm_acc", shape, ns_per_iter: ns, flops });
+    out
 }
 
 struct Record {
@@ -130,6 +250,9 @@ fn full_run(seed: u64) {
         bench_len(len, seed, &mut records);
     }
 
+    eprintln!("benchmarking level-3 kernels ...");
+    let level3 = bench_level3(seed);
+
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(
@@ -144,6 +267,19 @@ fn full_run(seed: u64) {
             json,
             "    {{\"kernel\": \"{}\", \"len\": {}, \"ns_per_iter\": {:.2}}}{comma}",
             r.kernel, r.len, r.ns_per_iter
+        );
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"level3\": [\n");
+    for (i, r) in level3.iter().enumerate() {
+        let comma = if i + 1 < level3.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"ns_per_iter\": {:.0}, \"gflops\": {:.2}}}{comma}",
+            r.kernel,
+            r.shape,
+            r.ns_per_iter,
+            r.flops / r.ns_per_iter
         );
     }
     json.push_str("  ],\n");

@@ -427,9 +427,10 @@ pub fn rotate_fused_swapped(c: f64, s: f64, a: &mut [f64], b: &mut [f64]) -> (f6
 }
 
 /// Row-tile length (in elements) of the blocked panel kernels
-/// [`gram_block`] / [`panel_update`]. With a `2c = 64` column union the
-/// input tile is `64 · 128 · 8 B = 64 KiB` — resident in L2 while each
-/// output column streams over it.
+/// [`panel_update`] / [`gemm_acc`]. The `square` plan (512×256 over two
+/// lanes) meets `k = 128`-column unions, whose input tile is
+/// `128 · 128 · 8 B = 128 KiB` — resident in L2 while each 4-column output
+/// block streams over it.
 pub const PANEL_TILE: usize = 128;
 
 /// Column `i` of the union panel `[X Y]` (both column-major with `m` rows).
@@ -443,156 +444,195 @@ fn union_col<'a>(x: &'a [f64], y: &'a [f64], m: usize, i: usize) -> &'a [f64] {
     }
 }
 
-/// Adjacent columns `j` and `j + 1` of the union panel `[X Y]`, mutably —
-/// both inside `x`, both inside `y`, or straddling the panel boundary.
-#[inline]
-fn union_col_pair_mut<'a>(
-    x: &'a mut [f64],
-    y: &'a mut [f64],
-    m: usize,
-    j: usize,
-) -> (&'a mut [f64], &'a mut [f64]) {
-    let xs = x.len();
-    let off = j * m;
-    if off + 2 * m <= xs {
-        x[off..off + 2 * m].split_at_mut(m)
-    } else if off >= xs {
-        y[off - xs..off - xs + 2 * m].split_at_mut(m)
-    } else {
-        (&mut x[off..off + m], &mut y[0..m])
-    }
-}
+/// Lane count of the dot-block kernel: element `e` of every dot
+/// accumulates into lane `e mod DOT_LANES`.
+const DOT_LANES: usize = 8;
 
-/// Unroll width of the 2×2 blocked Gram kernel [`dot4`]: two 4-lane
-/// vectors in flight per dot product (8 independent fma chains total).
-const DOT4_UNROLL: usize = 8;
-
-/// Accumulator lanes of the four simultaneous dot products
-/// `(a0·b0, a1·b0, a0·b1, a1·b1)` over a length-multiple-of-
-/// [`DOT4_UNROLL`] prefix: lane `l` of each dot holds the partial sums
-/// over elements `j·DOT4_UNROLL + l`.
+/// The `R×C` block of dot products `a[r]·b[c]` over the first `n`
+/// elements (`n` a multiple of [`DOT_LANES`]), returned as `[c][r]`. Lane
+/// `l` of dot `(r, c)` is the fused-multiply-add chain over elements
+/// `j·DOT_LANES + l`, in order, starting from `+0`; the lanes are then
+/// reduced by the pairwise tree of [`sum_unrolled`], operands in its
+/// order.
 ///
-/// This is the register-blocked heart of [`gram_block`]: four reductions
-/// share every load (2 flops per load versus 1 for four separate
-/// [`dot`]s), and the eight independent fma chains hide the fma latency.
-/// Both paths accumulate with fused multiply-adds (`_mm256_fmadd_pd` /
-/// [`f64::mul_add`]), which are exactly rounded and therefore bitwise
-/// identical between the intrinsic version and the scalar fallback.
+/// This is the register-blocked heart of [`gram_block_lower`] and
+/// [`gemm_tn`]. At `4×4` the AVX-512 body keeps the 16 dots in 16
+/// registers and loads 8 vectors per 16 fmas, so every column load feeds
+/// four reductions, and it reduces each dot's lanes in registers. All
+/// three bodies compute the same exactly rounded per-lane chains
+/// (`_mm512_fmadd_pd` / `_mm256_fmadd_pd` / [`f64::mul_add`]) and the
+/// same tree, so they agree bitwise.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline]
-fn dot4_main(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [[f64; DOT4_UNROLL]; 4] {
+fn dot_block_sums<const R: usize, const C: usize>(
+    a: [&[f64]; R],
+    b: [&[f64]; C],
+    n: usize,
+) -> [[f64; R]; C] {
     use core::arch::x86_64::*;
-    debug_assert_eq!(a0.len() % DOT4_UNROLL, 0);
-    let mut out = [[0.0f64; DOT4_UNROLL]; 4];
-    // SAFETY: loads stay within the four equal-length slices (length a
-    // multiple of DOT4_UNROLL = 8, one 8-lane vector per step) and stores
-    // within the 8-lane accumulator rows; AVX-512F is a compile-time
-    // target feature. The per-lane sums are identical to the 256-bit and
-    // scalar paths — one 8-wide register simply holds what those track as
-    // two halves or eight scalars.
+    assert!(n.is_multiple_of(DOT_LANES));
+    let a: [&[f64]; R] = core::array::from_fn(|r| &a[r][..n]);
+    let b: [&[f64]; C] = core::array::from_fn(|c| &b[c][..n]);
+    let mut out = [[0.0f64; R]; C];
+    // SAFETY: every load reads 8 lanes at an offset `i < n` with `n` a
+    // multiple of 8, and every column was sliced to `n` above. AVX-512F
+    // is a compile-time target feature.
     unsafe {
-        let mut acc = [_mm512_setzero_pd(); 4];
-        let (p0, p1, q0, q1) = (a0.as_ptr(), a1.as_ptr(), b0.as_ptr(), b1.as_ptr());
+        let mut acc = [[_mm512_setzero_pd(); R]; C];
         let mut i = 0;
-        while i < a0.len() {
-            let va0 = _mm512_loadu_pd(p0.add(i));
-            let va1 = _mm512_loadu_pd(p1.add(i));
-            let vb0 = _mm512_loadu_pd(q0.add(i));
-            let vb1 = _mm512_loadu_pd(q1.add(i));
-            acc[0] = _mm512_fmadd_pd(va0, vb0, acc[0]);
-            acc[1] = _mm512_fmadd_pd(va1, vb0, acc[1]);
-            acc[2] = _mm512_fmadd_pd(va0, vb1, acc[2]);
-            acc[3] = _mm512_fmadd_pd(va1, vb1, acc[3]);
-            i += DOT4_UNROLL;
+        while i < n {
+            let va: [__m512d; R] = core::array::from_fn(|r| _mm512_loadu_pd(a[r].as_ptr().add(i)));
+            let vb: [__m512d; C] = core::array::from_fn(|c| _mm512_loadu_pd(b[c].as_ptr().add(i)));
+            for c in 0..C {
+                for r in 0..R {
+                    acc[c][r] = _mm512_fmadd_pd(va[r], vb[c], acc[c][r]);
+                }
+            }
+            i += DOT_LANES;
         }
-        for d in 0..4 {
-            _mm512_storeu_pd(out[d].as_mut_ptr(), acc[d]);
+        for c in 0..C {
+            for r in 0..R {
+                // s1[2i] = l2i + l2i+1; s2[4i] = s1[4i] + s1[4i+2]; then
+                // s2[0] + s2[4]
+                let v = acc[c][r];
+                let s1 = _mm512_add_pd(v, _mm512_permute_pd::<0b0101_0101>(v));
+                let s2 = _mm512_add_pd(s1, _mm512_permutex_pd::<0b01_00_11_10>(s1));
+                let lo = _mm512_castpd512_pd256(s2);
+                out[c][r] = _mm256_cvtsd_f64(_mm256_add_pd(lo, _mm512_extractf64x4_pd::<1>(s2)));
+            }
         }
     }
     out
 }
 
+/// AVX2+FMA body. Sixteen `ymm` registers hold one 2×2 block of 8-lane
+/// dots (two halves each), so the `R×C` block (`R`, `C` even) is walked
+/// as 2×2 sub-blocks, each one pass of eight accumulators.
 #[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
 #[inline]
-#[allow(clippy::many_single_char_names)]
-fn dot4_main(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [[f64; DOT4_UNROLL]; 4] {
+fn dot_block_sums<const R: usize, const C: usize>(
+    a: [&[f64]; R],
+    b: [&[f64]; C],
+    n: usize,
+) -> [[f64; R]; C] {
     use core::arch::x86_64::*;
-    debug_assert_eq!(a0.len() % DOT4_UNROLL, 0);
-    let mut out = [[0.0f64; DOT4_UNROLL]; 4];
-    // SAFETY: loads stay within the four equal-length slices (length a
-    // multiple of DOT4_UNROLL = 8, read in 4-lane halves) and stores
-    // within the 8-lane accumulator rows; FMA is a compile-time target
-    // feature.
-    unsafe {
-        let mut acc = [_mm256_setzero_pd(); 8];
-        let (p0, p1, q0, q1) = (a0.as_ptr(), a1.as_ptr(), b0.as_ptr(), b1.as_ptr());
-        let mut i = 0;
-        while i < a0.len() {
-            let a0l = _mm256_loadu_pd(p0.add(i));
-            let a0h = _mm256_loadu_pd(p0.add(i + 4));
-            let a1l = _mm256_loadu_pd(p1.add(i));
-            let a1h = _mm256_loadu_pd(p1.add(i + 4));
-            let b0l = _mm256_loadu_pd(q0.add(i));
-            let b0h = _mm256_loadu_pd(q0.add(i + 4));
-            let b1l = _mm256_loadu_pd(q1.add(i));
-            let b1h = _mm256_loadu_pd(q1.add(i + 4));
-            acc[0] = _mm256_fmadd_pd(a0l, b0l, acc[0]);
-            acc[1] = _mm256_fmadd_pd(a0h, b0h, acc[1]);
-            acc[2] = _mm256_fmadd_pd(a1l, b0l, acc[2]);
-            acc[3] = _mm256_fmadd_pd(a1h, b0h, acc[3]);
-            acc[4] = _mm256_fmadd_pd(a0l, b1l, acc[4]);
-            acc[5] = _mm256_fmadd_pd(a0h, b1h, acc[5]);
-            acc[6] = _mm256_fmadd_pd(a1l, b1l, acc[6]);
-            acc[7] = _mm256_fmadd_pd(a1h, b1h, acc[7]);
-            i += DOT4_UNROLL;
-        }
-        for d in 0..4 {
-            _mm256_storeu_pd(out[d].as_mut_ptr(), acc[2 * d]);
-            _mm256_storeu_pd(out[d].as_mut_ptr().add(4), acc[2 * d + 1]);
+    const { assert!(R.is_multiple_of(2) && C.is_multiple_of(2)) };
+    assert!(n.is_multiple_of(DOT_LANES));
+    let a: [&[f64]; R] = core::array::from_fn(|r| &a[r][..n]);
+    let b: [&[f64]; C] = core::array::from_fn(|c| &b[c][..n]);
+    let mut out = [[[0.0f64; DOT_LANES]; R]; C];
+    for c0 in (0..C).step_by(2) {
+        for r0 in (0..R).step_by(2) {
+            let (pa, pb) =
+                ([a[r0].as_ptr(), a[r0 + 1].as_ptr()], [b[c0].as_ptr(), b[c0 + 1].as_ptr()]);
+            // SAFETY: every load reads 4 lanes at offset `i` or `i + 4`
+            // with `i + 8 ≤ n` (`n` a multiple of 8, every column sliced
+            // to `n` above); the stores write the two 4-lane
+            // halves of 8-lane rows of `out`. FMA is a compile-time target
+            // feature.
+            unsafe {
+                // acc[2·(2·dc + dr) + h]: half `h` of dot (r0 + dr, c0 + dc)
+                let mut acc = [_mm256_setzero_pd(); 8];
+                let mut i = 0;
+                while i < n {
+                    // x[2·dr + h] / y[2·dc + h]: half `h` of a column
+                    let x: [__m256d; 4] =
+                        core::array::from_fn(|s| _mm256_loadu_pd(pa[s / 2].add(i + 4 * (s % 2))));
+                    let y: [__m256d; 4] =
+                        core::array::from_fn(|s| _mm256_loadu_pd(pb[s / 2].add(i + 4 * (s % 2))));
+                    for dc in 0..2 {
+                        for dr in 0..2 {
+                            for h in 0..2 {
+                                let d = 2 * (2 * dc + dr) + h;
+                                acc[d] = _mm256_fmadd_pd(x[2 * dr + h], y[2 * dc + h], acc[d]);
+                            }
+                        }
+                    }
+                    i += DOT_LANES;
+                }
+                for dc in 0..2 {
+                    for dr in 0..2 {
+                        let lanes = out[c0 + dc][r0 + dr].as_mut_ptr();
+                        _mm256_storeu_pd(lanes, acc[2 * (2 * dc + dr)]);
+                        _mm256_storeu_pd(lanes.add(4), acc[2 * (2 * dc + dr) + 1]);
+                    }
+                }
+            }
         }
     }
-    out
+    out.map(|col| col.map(sum_unrolled))
 }
 
-/// Portable fallback: the same lane assignment with scalar fused
-/// multiply-adds.
+/// Portable body: the same lane chains with scalar fused multiply-adds.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
 #[inline]
-fn dot4_main(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [[f64; DOT4_UNROLL]; 4] {
-    debug_assert_eq!(a0.len() % DOT4_UNROLL, 0);
-    let mut out = [[0.0f64; DOT4_UNROLL]; 4];
-    let mut j = 0;
-    while j < a0.len() {
-        for l in 0..DOT4_UNROLL {
-            let (x0, x1, y0, y1) = (a0[j + l], a1[j + l], b0[j + l], b1[j + l]);
-            out[0][l] = x0.mul_add(y0, out[0][l]);
-            out[1][l] = x1.mul_add(y0, out[1][l]);
-            out[2][l] = x0.mul_add(y1, out[2][l]);
-            out[3][l] = x1.mul_add(y1, out[3][l]);
+fn dot_block_sums<const R: usize, const C: usize>(
+    a: [&[f64]; R],
+    b: [&[f64]; C],
+    n: usize,
+) -> [[f64; R]; C] {
+    debug_assert_eq!(n % DOT_LANES, 0);
+    let mut out = [[[0.0f64; DOT_LANES]; R]; C];
+    for e in 0..n {
+        for c in 0..C {
+            for r in 0..R {
+                let lane = &mut out[c][r][e % DOT_LANES];
+                *lane = a[r][e].mul_add(b[c][e], *lane);
+            }
         }
-        j += DOT4_UNROLL;
+    }
+    out.map(|col| col.map(sum_unrolled))
+}
+
+/// The `R×C` block of dot products `a[r]·b[c]` of equal-length columns,
+/// returned as `[c][r]`: [`dot_block_sums`] over the whole lane groups,
+/// then the elements past them folded in one `mul_add` at a time.
+#[inline]
+fn dot_block<const R: usize, const C: usize>(a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; R]; C] {
+    let n = a[0].len();
+    debug_assert!(a.iter().chain(&b).all(|s| s.len() == n));
+    let split = n - n % DOT_LANES;
+    let mut out = dot_block_sums(a, b, split);
+    for (c, col) in out.iter_mut().enumerate() {
+        for (r, s) in col.iter_mut().enumerate() {
+            *s = (split..n).fold(*s, |s, e| a[r][e].mul_add(b[c][e], s));
+        }
     }
     out
 }
 
-/// The four dot products `(a0·b0, a1·b0, a0·b1, a1·b1)` in one fused pass.
-#[inline]
-fn dot4(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [f64; 4] {
-    let n = a0.len();
-    debug_assert!(a1.len() == n && b0.len() == n && b1.len() == n);
-    let split = n - n % DOT4_UNROLL;
-    let lanes = dot4_main(&a0[..split], &a1[..split], &b0[..split], &b1[..split]);
-    let mut out = [0.0f64; 4];
-    for (d, acc) in lanes.iter().enumerate() {
-        out[d] = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+/// Store the dot block `a(i..i+R)ᵀ·b(j..j+C)` through `put(r, c, value)`
+/// for `R, C ∈ {2, 4}` chosen at run time.
+fn dot_block_dyn<'a>(
+    col_a: impl Fn(usize) -> &'a [f64],
+    i: usize,
+    nr: usize,
+    col_b: impl Fn(usize) -> &'a [f64],
+    j: usize,
+    nc: usize,
+    mut put: impl FnMut(usize, usize, f64),
+) {
+    fn store<const R: usize, const C: usize>(
+        d: [[f64; R]; C],
+        put: &mut impl FnMut(usize, usize, f64),
+    ) {
+        for (c, col) in d.iter().enumerate() {
+            for (r, &v) in col.iter().enumerate() {
+                put(r, c, v);
+            }
+        }
     }
-    for i in split..n {
-        out[0] = a0[i].mul_add(b0[i], out[0]);
-        out[1] = a1[i].mul_add(b0[i], out[1]);
-        out[2] = a0[i].mul_add(b1[i], out[2]);
-        out[3] = a1[i].mul_add(b1[i], out[3]);
+    let a2 = || [col_a(i), col_a(i + 1)];
+    let a4 = || [col_a(i), col_a(i + 1), col_a(i + 2), col_a(i + 3)];
+    let b2 = || [col_b(j), col_b(j + 1)];
+    let b4 = || [col_b(j), col_b(j + 1), col_b(j + 2), col_b(j + 3)];
+    match (nr, nc) {
+        (4, 4) => store(dot_block(a4(), b4()), &mut put),
+        (4, 2) => store(dot_block(a4(), b2()), &mut put),
+        (2, 4) => store(dot_block(a2(), b4()), &mut put),
+        (2, 2) => store(dot_block(a2(), b2()), &mut put),
+        _ => unreachable!("dot blocks are 2 or 4 wide"),
     }
-    out
 }
 
 /// `G = [X Y]ᵀ[X Y]`: the `k×k` Gram matrix of the column union of two
@@ -619,14 +659,17 @@ pub fn gram_block(x: &[f64], y: &[f64], m: usize, g: &mut [f64]) {
 /// column-major into `g` with leading dimension `ld`: `G(r, c)` for
 /// `r ≥ c` lands in `g[r + ld·c]`, and nothing else in `g` is touched.
 ///
-/// Off-diagonal entries come in 2×2 register blocks from [`dot4`] (four
-/// reductions per pass, every load shared by two of them) and the `2×2`
-/// diagonal blocks fall out of one fused [`gram3`] each; with odd `k` the
-/// last row is plain [`dot`]s plus one [`norm2_sq`]. Columns are walked
-/// at full length — the union panels this serves are L2-resident, and
-/// each column is read `k/2` times instead of the `k` times of unblocked
-/// dots. A leading dimension off the power of two (`k + 1`) keeps the
-/// rows of a strided walk over `g` out of each other's cache sets.
+/// Columns are taken four at a time. Every off-diagonal `4×4` block is
+/// one [`dot_block`] pass (16 reductions, every column load shared by
+/// four of them); inside a diagonal `4×4` block the two `2×2` diagonal
+/// blocks fall out of one fused [`gram3`] each and the remaining `2×2`
+/// is a [`dot_block`]. When `k mod 4` leaves a pair it forms a final
+/// `2`-wide block row, and with odd `k` the last row is plain [`dot`]s
+/// plus one [`norm2_sq`]. Columns are walked at full length — the union
+/// panels this serves are L2-resident, and each column is read `k/4`
+/// times instead of the `k` times of unblocked dots. A leading dimension
+/// off the power of two (`k + 1`) keeps the rows of a strided walk over
+/// `g` out of each other's cache sets.
 ///
 /// # Panics
 /// Panics if a panel length is not a multiple of `m`, if `ld < k`, or if
@@ -637,299 +680,331 @@ pub fn gram_block_lower(x: &[f64], y: &[f64], m: usize, g: &mut [f64], ld: usize
     let k = (x.len() + y.len()).checked_div(m).unwrap_or(0);
     assert!(ld >= k, "gram_block_lower: leading dimension below k");
     assert!(g.len() >= ld * k, "gram_block_lower: output shorter than ld·k");
+    let col = |i: usize| union_col(x, y, m, i);
     let ke = k & !1;
-    for jb in (0..ke).step_by(2) {
-        let cj0 = union_col(x, y, m, jb);
-        let cj1 = union_col(x, y, m, jb + 1);
-        let (aa, bb, ab) = gram3(cj0, cj1);
-        g[jb + ld * jb] = aa;
-        g[jb + 1 + ld * (jb + 1)] = bb;
-        g[jb + 1 + ld * jb] = ab;
-        for ib in (0..jb).step_by(2) {
-            let ci0 = union_col(x, y, m, ib);
-            let ci1 = union_col(x, y, m, ib + 1);
-            let d = dot4(ci0, ci1, cj0, cj1);
-            g[jb + ld * ib] = d[0];
-            g[jb + ld * (ib + 1)] = d[1];
-            g[jb + 1 + ld * ib] = d[2];
-            g[jb + 1 + ld * (ib + 1)] = d[3];
+    for jb in (0..ke).step_by(4) {
+        let nj = (ke - jb).min(4);
+        for p in (jb..jb + nj).step_by(2) {
+            let (aa, bb, ab) = gram3(col(p), col(p + 1));
+            g[p + ld * p] = aa;
+            g[p + 1 + ld * (p + 1)] = bb;
+            g[p + 1 + ld * p] = ab;
+        }
+        if nj == 4 {
+            dot_block_dyn(col, jb, 2, col, jb + 2, 2, |r, c, v| g[jb + 2 + c + ld * (jb + r)] = v);
+        }
+        for ib in (0..jb).step_by(4) {
+            dot_block_dyn(col, ib, 4, col, jb, nj, |r, c, v| g[jb + c + ld * (ib + r)] = v);
         }
     }
     if k != ke {
         let j = k - 1;
-        let cj = union_col(x, y, m, j);
+        let cj = col(j);
         for i in 0..j {
-            g[j + ld * i] = dot(union_col(x, y, m, i), cj);
+            g[j + ld * i] = dot(col(i), cj);
         }
         g[j + ld * j] = norm2_sq(cj);
     }
 }
 
-/// `y = alpha · x` (the initializing form of [`axpy`]).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn scaled_copy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "scaled_copy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi = alpha * xi;
+/// Checks the arguments of [`acc_block`] and returns the row count `n`:
+/// every output is `n` long, there is one weight row per source, and
+/// every source `src[i·ld ..][..n]` is in bounds.
+fn acc_block_rows<const NC: usize>(
+    src: &[f64],
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    out: &[&mut [f64]; NC],
+) -> usize {
+    let n = out[0].len();
+    assert!(out.iter().all(|o| o.len() == n), "acc block: outputs of unequal length");
+    assert_eq!(idx.len(), w.len(), "acc block: one weight row per source");
+    assert!(idx.iter().all(|&i| i * ld + n <= src.len()), "acc block: source out of range");
+    n
+}
+
+/// Rows `r0..` of [`acc_block`] in scalar code: per output element, the
+/// `mul_add` chain over the sources in order. The portable body, and the
+/// row tail of the vector bodies.
+fn acc_rows_scalar<const NC: usize, const INIT: bool>(
+    src: &[f64],
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    out: &mut [&mut [f64]; NC],
+    r0: usize,
+) {
+    for r in r0..out[0].len() {
+        for (c, o) in out.iter_mut().enumerate() {
+            let base = if INIT { 0.0 } else { o[r] };
+            o[r] =
+                idx.iter().zip(w).fold(base, |acc, (&i, wi)| wi[c].mul_add(src[i * ld + r], acc));
+        }
     }
 }
 
-/// Four-source weighted accumulation, the GEMM micro-kernel of
-/// [`panel_update`]: elementwise
-/// `out[i] = w3·s3[i] + (w2·s2[i] + (w1·s1[i] + (w0·s0[i] + base)))`
-/// where `base` is `0` when `INIT` or the previous `out[i]` otherwise,
-/// every product folded in with a fused multiply-add.
+/// `V·8` rows starting at `r` of [`acc_block`]'s AVX-512 body: `NC × V`
+/// accumulators (16 at `NC = 4`, `V = 4`) held across every source.
 ///
-/// Gathering four inputs per pass quarters the load/store traffic on
-/// `out` that made a chain of [`axpy`]s memory-bound, and the element
-/// updates are independent so the four-deep fma chains pipeline across
-/// the unrolled vectors. The operation is elementwise with exactly
-/// rounded fmas, so the intrinsic path and the scalar fallback are
-/// bitwise identical.
-#[cfg(all(target_arch = "x86_64", target_feature = "fma"))]
-#[inline]
-fn wsum4<const INIT: bool>(
-    w: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out: &mut [f64],
+/// # Safety
+/// Rows `r..r + 8V` of every output pointer in `po` and of every source
+/// `ps + idx[s]·ld` must be in bounds.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline(always)]
+unsafe fn acc_rows_avx512<const NC: usize, const V: usize, const INIT: bool>(
+    ps: *const f64,
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    po: &[*mut f64; NC],
+    r: usize,
 ) {
     use core::arch::x86_64::*;
-    let n = out.len();
-    debug_assert!(s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n);
-    // SAFETY: all loads/stores stay within the five equal-length slices;
-    // the vector loop covers whole 4-lane chunks and the scalar tail the
-    // rest; FMA is a compile-time target feature.
+    // SAFETY: the caller guarantees rows r..r + 8V of every output and
+    // source are in bounds; AVX-512F is a compile-time target feature.
     unsafe {
-        let (vw0, vw1) = (_mm256_set1_pd(w[0]), _mm256_set1_pd(w[1]));
-        let (vw2, vw3) = (_mm256_set1_pd(w[2]), _mm256_set1_pd(w[3]));
-        let (p0, p1, p2, p3) = (s0.as_ptr(), s1.as_ptr(), s2.as_ptr(), s3.as_ptr());
-        let po = out.as_mut_ptr();
-        let mut i = 0;
-        // two vectors in flight: each output element is a serial chain of
-        // four fmas, so independent chunks are needed to hide the latency
-        while i + 8 <= n {
-            let mut va = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(po.add(i)) };
-            let mut vb = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(po.add(i + 4)) };
-            va = _mm256_fmadd_pd(vw0, _mm256_loadu_pd(p0.add(i)), va);
-            vb = _mm256_fmadd_pd(vw0, _mm256_loadu_pd(p0.add(i + 4)), vb);
-            va = _mm256_fmadd_pd(vw1, _mm256_loadu_pd(p1.add(i)), va);
-            vb = _mm256_fmadd_pd(vw1, _mm256_loadu_pd(p1.add(i + 4)), vb);
-            va = _mm256_fmadd_pd(vw2, _mm256_loadu_pd(p2.add(i)), va);
-            vb = _mm256_fmadd_pd(vw2, _mm256_loadu_pd(p2.add(i + 4)), vb);
-            va = _mm256_fmadd_pd(vw3, _mm256_loadu_pd(p3.add(i)), va);
-            vb = _mm256_fmadd_pd(vw3, _mm256_loadu_pd(p3.add(i + 4)), vb);
-            _mm256_storeu_pd(po.add(i), va);
-            _mm256_storeu_pd(po.add(i + 4), vb);
-            i += 8;
+        let mut acc: [[__m512d; V]; NC] = core::array::from_fn(|c| {
+            core::array::from_fn(|v| {
+                if INIT {
+                    _mm512_setzero_pd()
+                } else {
+                    _mm512_loadu_pd(po[c].add(r + 8 * v))
+                }
+            })
+        });
+        for (&i, wi) in idx.iter().zip(w) {
+            let p = ps.add(i * ld + r);
+            let x: [__m512d; V] = core::array::from_fn(|v| _mm512_loadu_pd(p.add(8 * v)));
+            for c in 0..NC {
+                let wc = _mm512_set1_pd(wi[c]);
+                for v in 0..V {
+                    acc[c][v] = _mm512_fmadd_pd(wc, x[v], acc[c][v]);
+                }
+            }
         }
-        while i + 4 <= n {
-            let mut va = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(po.add(i)) };
-            va = _mm256_fmadd_pd(vw0, _mm256_loadu_pd(p0.add(i)), va);
-            va = _mm256_fmadd_pd(vw1, _mm256_loadu_pd(p1.add(i)), va);
-            va = _mm256_fmadd_pd(vw2, _mm256_loadu_pd(p2.add(i)), va);
-            va = _mm256_fmadd_pd(vw3, _mm256_loadu_pd(p3.add(i)), va);
-            _mm256_storeu_pd(po.add(i), va);
-            i += 4;
-        }
-        while i < n {
-            let base = if INIT { 0.0 } else { *po.add(i) };
-            let acc = w[0].mul_add(*p0.add(i), base);
-            let acc = w[1].mul_add(*p1.add(i), acc);
-            let acc = w[2].mul_add(*p2.add(i), acc);
-            *po.add(i) = w[3].mul_add(*p3.add(i), acc);
-            i += 1;
+        for (&pc, acc_c) in po.iter().zip(&acc) {
+            for (v, &a) in acc_c.iter().enumerate() {
+                _mm512_storeu_pd(pc.add(r + 8 * v), a);
+            }
         }
     }
 }
 
-/// Portable fallback: the same elementwise fused-multiply-add chain.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
-#[inline]
-fn wsum4<const INIT: bool>(
-    w: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out: &mut [f64],
-) {
-    for (i, o) in out.iter_mut().enumerate() {
-        let base = if INIT { 0.0 } else { *o };
-        let acc = w[0].mul_add(s0[i], base);
-        let acc = w[1].mul_add(s1[i], acc);
-        let acc = w[2].mul_add(s2[i], acc);
-        *o = w[3].mul_add(s3[i], acc);
-    }
-}
-
-/// Two-output variant of [`wsum4`]: the same four sources accumulated
-/// into two output columns with independent weight quadruples. Sharing
-/// the source loads between the outputs doubles the flops per load,
-/// which is what lifts the panel multiply from memory-bound to
-/// near-arithmetic-bound. Same exactly-rounded fma semantics as
-/// [`wsum4`], so the intrinsic and fallback paths agree bitwise.
+/// The accumulate-block kernel under [`panel_update`] and [`gemm_acc`]:
+/// for each of `NC ≤ 4` output columns,
+/// `out[c][r] = w[s_last][c]·src_last[r] + (… + (w[0][c]·src_0[r] + base))`
+/// with `base = +0` when `INIT`, else the old `out[c][r]`, and source `s`
+/// the rows `src[idx[s]·ld ..][..n]`. Every product is folded in with a
+/// fused multiply-add, in source order.
+///
+/// The AVX-512 body keeps a 32-row × 4-column block of the outputs in 16
+/// registers across all sources: per source it loads 4 vectors and 4
+/// broadcast weights for 16 fmas, and the outputs are read and written
+/// once per call instead of once per four sources. Each output element is
+/// an independent exactly rounded fma chain, so the vector bodies, their
+/// scalar row tail and the portable body agree bitwise.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn wsum4x2<const INIT: bool>(
-    wa: [f64; 4],
-    wb: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out_a: &mut [f64],
-    out_b: &mut [f64],
+fn acc_block<const NC: usize, const INIT: bool>(
+    src: &[f64],
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    out: &mut [&mut [f64]; NC],
+) {
+    let n = acc_block_rows(src, ld, idx, w, out);
+    let po: [*mut f64; NC] = core::array::from_fn(|c| out[c].as_mut_ptr());
+    let mut r = 0;
+    while r + 32 <= n {
+        // SAFETY: rows r..r + 32 ≤ n of every output (each `n` long) and
+        // every source (in bounds by `acc_block_rows`).
+        unsafe { acc_rows_avx512::<NC, 4, INIT>(src.as_ptr(), ld, idx, w, &po, r) };
+        r += 32;
+    }
+    while r + 8 <= n {
+        // SAFETY: rows r..r + 8 ≤ n, as above.
+        unsafe { acc_rows_avx512::<NC, 1, INIT>(src.as_ptr(), ld, idx, w, &po, r) };
+        r += 8;
+    }
+    acc_rows_scalar::<NC, INIT>(src, ld, idx, w, out, r);
+}
+
+/// `V·4` rows starting at `r` of [`acc_block`]'s AVX2 body: `NC × V`
+/// accumulators (8 at `NC = 4`, `V = 2`, leaving room in the 16 `ymm`
+/// registers for the source vectors and a broadcast weight).
+///
+/// # Safety
+/// Rows `r..r + 4V` of every output pointer in `po` and of every source
+/// `ps + idx[s]·ld` must be in bounds.
+#[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
+#[inline(always)]
+unsafe fn acc_rows_avx2<const NC: usize, const V: usize, const INIT: bool>(
+    ps: *const f64,
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    po: &[*mut f64; NC],
+    r: usize,
 ) {
     use core::arch::x86_64::*;
-    let n = out_a.len();
-    debug_assert!(out_b.len() == n);
-    debug_assert!(s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n);
-    // SAFETY: all loads/stores stay within the six equal-length slices;
-    // the vector loop covers whole 8-lane chunks and the scalar tail the
-    // rest; AVX-512F is a compile-time target feature. Elementwise
-    // exactly-rounded fma chains — bitwise identical to the narrower
-    // paths.
+    // SAFETY: the caller guarantees rows r..r + 4V of every output and
+    // source are in bounds; FMA is a compile-time target feature.
     unsafe {
-        let (va0, va1) = (_mm512_set1_pd(wa[0]), _mm512_set1_pd(wa[1]));
-        let (va2, va3) = (_mm512_set1_pd(wa[2]), _mm512_set1_pd(wa[3]));
-        let (vb0, vb1) = (_mm512_set1_pd(wb[0]), _mm512_set1_pd(wb[1]));
-        let (vb2, vb3) = (_mm512_set1_pd(wb[2]), _mm512_set1_pd(wb[3]));
-        let (p0, p1, p2, p3) = (s0.as_ptr(), s1.as_ptr(), s2.as_ptr(), s3.as_ptr());
-        let (pa, pb) = (out_a.as_mut_ptr(), out_b.as_mut_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let x0 = _mm512_loadu_pd(p0.add(i));
-            let x1 = _mm512_loadu_pd(p1.add(i));
-            let x2 = _mm512_loadu_pd(p2.add(i));
-            let x3 = _mm512_loadu_pd(p3.add(i));
-            let mut aa = if INIT { _mm512_setzero_pd() } else { _mm512_loadu_pd(pa.add(i)) };
-            let mut ab = if INIT { _mm512_setzero_pd() } else { _mm512_loadu_pd(pb.add(i)) };
-            aa = _mm512_fmadd_pd(va0, x0, aa);
-            ab = _mm512_fmadd_pd(vb0, x0, ab);
-            aa = _mm512_fmadd_pd(va1, x1, aa);
-            ab = _mm512_fmadd_pd(vb1, x1, ab);
-            aa = _mm512_fmadd_pd(va2, x2, aa);
-            ab = _mm512_fmadd_pd(vb2, x2, ab);
-            aa = _mm512_fmadd_pd(va3, x3, aa);
-            ab = _mm512_fmadd_pd(vb3, x3, ab);
-            _mm512_storeu_pd(pa.add(i), aa);
-            _mm512_storeu_pd(pb.add(i), ab);
-            i += 8;
+        let mut acc: [[__m256d; V]; NC] = core::array::from_fn(|c| {
+            core::array::from_fn(|v| {
+                if INIT {
+                    _mm256_setzero_pd()
+                } else {
+                    _mm256_loadu_pd(po[c].add(r + 4 * v))
+                }
+            })
+        });
+        for (&i, wi) in idx.iter().zip(w) {
+            let p = ps.add(i * ld + r);
+            let x: [__m256d; V] = core::array::from_fn(|v| _mm256_loadu_pd(p.add(4 * v)));
+            for c in 0..NC {
+                let wc = _mm256_set1_pd(wi[c]);
+                for v in 0..V {
+                    acc[c][v] = _mm256_fmadd_pd(wc, x[v], acc[c][v]);
+                }
+            }
         }
-        while i < n {
-            let (x0, x1, x2, x3) = (*p0.add(i), *p1.add(i), *p2.add(i), *p3.add(i));
-            let base_a = if INIT { 0.0 } else { *pa.add(i) };
-            let acc = wa[0].mul_add(x0, base_a);
-            let acc = wa[1].mul_add(x1, acc);
-            let acc = wa[2].mul_add(x2, acc);
-            *pa.add(i) = wa[3].mul_add(x3, acc);
-            let base_b = if INIT { 0.0 } else { *pb.add(i) };
-            let acc = wb[0].mul_add(x0, base_b);
-            let acc = wb[1].mul_add(x1, acc);
-            let acc = wb[2].mul_add(x2, acc);
-            *pb.add(i) = wb[3].mul_add(x3, acc);
-            i += 1;
+        for (&pc, acc_c) in po.iter().zip(&acc) {
+            for (v, &a) in acc_c.iter().enumerate() {
+                _mm256_storeu_pd(pc.add(r + 4 * v), a);
+            }
         }
     }
 }
 
+/// AVX2+FMA body of [`acc_block`]: 8-row blocks, then 4, then scalar.
 #[cfg(all(target_arch = "x86_64", target_feature = "fma", not(target_feature = "avx512f")))]
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn wsum4x2<const INIT: bool>(
-    wa: [f64; 4],
-    wb: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out_a: &mut [f64],
-    out_b: &mut [f64],
+fn acc_block<const NC: usize, const INIT: bool>(
+    src: &[f64],
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    out: &mut [&mut [f64]; NC],
 ) {
-    use core::arch::x86_64::*;
-    let n = out_a.len();
-    debug_assert!(out_b.len() == n);
-    debug_assert!(s0.len() == n && s1.len() == n && s2.len() == n && s3.len() == n);
-    // SAFETY: all loads/stores stay within the six equal-length slices;
-    // the vector loop covers whole 4-lane chunks and the scalar tail the
-    // rest; FMA is a compile-time target feature.
-    unsafe {
-        let (va0, va1) = (_mm256_set1_pd(wa[0]), _mm256_set1_pd(wa[1]));
-        let (va2, va3) = (_mm256_set1_pd(wa[2]), _mm256_set1_pd(wa[3]));
-        let (vb0, vb1) = (_mm256_set1_pd(wb[0]), _mm256_set1_pd(wb[1]));
-        let (vb2, vb3) = (_mm256_set1_pd(wb[2]), _mm256_set1_pd(wb[3]));
-        let (p0, p1, p2, p3) = (s0.as_ptr(), s1.as_ptr(), s2.as_ptr(), s3.as_ptr());
-        let (pa, pb) = (out_a.as_mut_ptr(), out_b.as_mut_ptr());
-        let mut i = 0;
-        while i + 4 <= n {
-            let x0 = _mm256_loadu_pd(p0.add(i));
-            let x1 = _mm256_loadu_pd(p1.add(i));
-            let x2 = _mm256_loadu_pd(p2.add(i));
-            let x3 = _mm256_loadu_pd(p3.add(i));
-            let mut aa = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(pa.add(i)) };
-            let mut ab = if INIT { _mm256_setzero_pd() } else { _mm256_loadu_pd(pb.add(i)) };
-            aa = _mm256_fmadd_pd(va0, x0, aa);
-            ab = _mm256_fmadd_pd(vb0, x0, ab);
-            aa = _mm256_fmadd_pd(va1, x1, aa);
-            ab = _mm256_fmadd_pd(vb1, x1, ab);
-            aa = _mm256_fmadd_pd(va2, x2, aa);
-            ab = _mm256_fmadd_pd(vb2, x2, ab);
-            aa = _mm256_fmadd_pd(va3, x3, aa);
-            ab = _mm256_fmadd_pd(vb3, x3, ab);
-            _mm256_storeu_pd(pa.add(i), aa);
-            _mm256_storeu_pd(pb.add(i), ab);
-            i += 4;
+    let n = acc_block_rows(src, ld, idx, w, out);
+    let po: [*mut f64; NC] = core::array::from_fn(|c| out[c].as_mut_ptr());
+    let mut r = 0;
+    while r + 8 <= n {
+        // SAFETY: rows r..r + 8 ≤ n of every output (each `n` long) and
+        // every source (in bounds by `acc_block_rows`).
+        unsafe { acc_rows_avx2::<NC, 2, INIT>(src.as_ptr(), ld, idx, w, &po, r) };
+        r += 8;
+    }
+    while r + 4 <= n {
+        // SAFETY: rows r..r + 4 ≤ n, as above.
+        unsafe { acc_rows_avx2::<NC, 1, INIT>(src.as_ptr(), ld, idx, w, &po, r) };
+        r += 4;
+    }
+    acc_rows_scalar::<NC, INIT>(src, ld, idx, w, out, r);
+}
+
+/// Portable body of [`acc_block`]: the scalar chains over every row.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
+#[inline]
+fn acc_block<const NC: usize, const INIT: bool>(
+    src: &[f64],
+    ld: usize,
+    idx: &[usize],
+    w: &[[f64; NC]],
+    out: &mut [&mut [f64]; NC],
+) {
+    acc_block_rows(src, ld, idx, w, out);
+    acc_rows_scalar::<NC, INIT>(src, ld, idx, w, out, 0);
+}
+
+/// Sources packed per [`acc_block`] call: a fixed-size stack chunk, so
+/// any source count runs without heap scratch (longer sums carry on in
+/// the outputs from one chunk to the next, which leaves the chains
+/// unchanged).
+const ACC_CHUNK: usize = 64;
+
+/// `out_c = base + Σ_i (α·w[i + p·c])·src_i` for the next `NC` output
+/// columns `out_c` of `outs`, with `w` their column-major `p×NC` weights
+/// (source `i` is `src[i·ld ..]`, `base` is `+0` when `init`, else the
+/// old `out_c`). A source is skipped only when all `NC` of its weights
+/// are exactly zero, so a near-identity `W` stays cheap; the zero weights
+/// it does keep are exact no-ops on a nonzero sum.
+#[allow(clippy::needless_range_loop)] // `i` indexes all NC weight columns
+fn acc_columns<'a, const NC: usize>(
+    src: &[f64],
+    ld: usize,
+    w: &[f64],
+    alpha: f64,
+    init: bool,
+    outs: &mut impl Iterator<Item = &'a mut [f64]>,
+) {
+    fn call<const NC: usize>(
+        src: &[f64],
+        ld: usize,
+        idx: &[usize],
+        w: &[[f64; NC]],
+        init: bool,
+        out: &mut [&mut [f64]; NC],
+    ) {
+        if init {
+            acc_block::<NC, true>(src, ld, idx, w, out);
+        } else {
+            acc_block::<NC, false>(src, ld, idx, w, out);
         }
-        while i < n {
-            let (x0, x1, x2, x3) = (*p0.add(i), *p1.add(i), *p2.add(i), *p3.add(i));
-            let base_a = if INIT { 0.0 } else { *pa.add(i) };
-            let acc = wa[0].mul_add(x0, base_a);
-            let acc = wa[1].mul_add(x1, acc);
-            let acc = wa[2].mul_add(x2, acc);
-            *pa.add(i) = wa[3].mul_add(x3, acc);
-            let base_b = if INIT { 0.0 } else { *pb.add(i) };
-            let acc = wb[0].mul_add(x0, base_b);
-            let acc = wb[1].mul_add(x1, acc);
-            let acc = wb[2].mul_add(x2, acc);
-            *pb.add(i) = wb[3].mul_add(x3, acc);
-            i += 1;
+    }
+    let p = w.len() / NC;
+    let wcol: [&[f64]; NC] = core::array::from_fn(|c| &w[p * c..p * (c + 1)]);
+    let mut out: [&mut [f64]; NC] =
+        core::array::from_fn(|_| outs.next().expect("acc_columns: too few output columns"));
+    let mut idx = [0usize; ACC_CHUNK];
+    let mut ws = [[0.0f64; NC]; ACC_CHUNK];
+    let (mut fill, mut init) = (0, init);
+    for i in 0..p {
+        let wi: [f64; NC] = core::array::from_fn(|c| alpha * wcol[c][i]);
+        // all NC weights ±0: no bit set outside the sign bits
+        if wi.iter().fold(0u64, |bits, v| bits | v.to_bits()) << 1 == 0 {
+            continue;
         }
+        idx[fill] = i;
+        ws[fill] = wi;
+        fill += 1;
+        if fill == ACC_CHUNK {
+            call(src, ld, &idx, &ws, init, &mut out);
+            (fill, init) = (0, false);
+        }
+    }
+    // an initializing call with no sources left still writes its zeros
+    if fill > 0 || init {
+        call(src, ld, &idx[..fill], &ws[..fill], init, &mut out);
     }
 }
 
-/// Portable fallback: the same elementwise fused-multiply-add chains.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "fma")))]
-#[inline]
+/// `out_j = base + Σ_i (α·w[i + p·j])·src_i` for the `q` output columns
+/// yielded by `outs`, with `w` a column-major `p×q` weight block (see
+/// [`acc_columns`]): four columns per [`acc_block`] pass, and one final
+/// pass for the `q mod 4` left over.
 #[allow(clippy::too_many_arguments)]
-fn wsum4x2<const INIT: bool>(
-    wa: [f64; 4],
-    wb: [f64; 4],
-    s0: &[f64],
-    s1: &[f64],
-    s2: &[f64],
-    s3: &[f64],
-    out_a: &mut [f64],
-    out_b: &mut [f64],
+fn acc_all<'a>(
+    src: &[f64],
+    ld: usize,
+    w: &[f64],
+    p: usize,
+    alpha: f64,
+    init: bool,
+    mut outs: impl Iterator<Item = &'a mut [f64]>,
+    q: usize,
 ) {
-    for (i, (oa, ob)) in out_a.iter_mut().zip(out_b.iter_mut()).enumerate() {
-        let (x0, x1, x2, x3) = (s0[i], s1[i], s2[i], s3[i]);
-        let base_a = if INIT { 0.0 } else { *oa };
-        let acc = wa[0].mul_add(x0, base_a);
-        let acc = wa[1].mul_add(x1, acc);
-        let acc = wa[2].mul_add(x2, acc);
-        *oa = wa[3].mul_add(x3, acc);
-        let base_b = if INIT { 0.0 } else { *ob };
-        let acc = wb[0].mul_add(x0, base_b);
-        let acc = wb[1].mul_add(x1, acc);
-        let acc = wb[2].mul_add(x2, acc);
-        *ob = wb[3].mul_add(x3, acc);
+    for j in (0..q).step_by(4) {
+        let nc = (q - j).min(4);
+        let (w, outs) = (&w[p * j..p * (j + nc)], &mut outs);
+        match nc {
+            4 => acc_columns::<4>(src, ld, w, alpha, init, outs),
+            3 => acc_columns::<3>(src, ld, w, alpha, init, outs),
+            2 => acc_columns::<2>(src, ld, w, alpha, init, outs),
+            _ => acc_columns::<1>(src, ld, w, alpha, init, outs),
+        }
     }
 }
 
@@ -939,12 +1014,12 @@ fn wsum4x2<const INIT: bool>(
 ///
 /// Row-tiled by [`PANEL_TILE`]: each tile of the input union is
 /// snapshotted into `tile` (caller scratch, length ≥ `k · PANEL_TILE`),
-/// then every output column is accumulated over the cache-resident
-/// snapshot four sources at a time by the [`wsum4`] micro-kernel — one
-/// read plus one write of the panel total, against the O(k²·m) column
-/// traffic of applying rotations one pair at a time. Exact zeros in `W`
-/// are skipped, so a near-identity `W` (late sweeps) degenerates to
-/// cheap column copies.
+/// then the output columns are accumulated four at a time over the
+/// cache-resident snapshot by the [`acc_block`] kernel — one read plus
+/// one write of the panel total, against the O(k²·m) column traffic of
+/// applying rotations one pair at a time. A source is skipped when its
+/// weights in all four columns are exact zeros, so a near-identity `W`
+/// (late sweeps) costs a few fmas per output element.
 ///
 /// # Panics
 /// Panics if a panel length is not a multiple of `m`, `w.len() != k²`, or
@@ -965,116 +1040,8 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
             let src = &union_col(x, y, m, i)[r0..r0 + tb];
             tile[i * PANEL_TILE..i * PANEL_TILE + tb].copy_from_slice(src);
         }
-        let nnz_of = |wj: &[f64]| wj.iter().filter(|&&v| v != 0.0).count();
-        let mut j = 0;
-        while j < k {
-            let wj = &w[k * j..k * j + k];
-            // two outputs at a time whenever both columns mix several
-            // sources: the paired kernel shares every source load
-            if j + 1 < k && nnz_of(wj) >= 2 && nnz_of(&w[k * (j + 1)..k * (j + 1) + k]) >= 2 {
-                let wjb = &w[k * (j + 1)..k * (j + 1) + k];
-                let (col_a, col_b) = union_col_pair_mut(x, y, m, j);
-                let out_a = &mut col_a[r0..r0 + tb];
-                let out_b = &mut col_b[r0..r0 + tb];
-                let src_of = |i: usize| &tile[i * PANEL_TILE..i * PANEL_TILE + tb];
-                let mut wsa = [0.0f64; 4];
-                let mut wsb = [0.0f64; 4];
-                let mut idx = [0usize; 4];
-                let (mut fill, mut first) = (0usize, true);
-                let mut flush = |wsa: [f64; 4], wsb: [f64; 4], idx: [usize; 4], first: bool| {
-                    let (s0, s1, s2, s3) =
-                        (src_of(idx[0]), src_of(idx[1]), src_of(idx[2]), src_of(idx[3]));
-                    if first {
-                        wsum4x2::<true>(wsa, wsb, s0, s1, s2, s3, out_a, out_b);
-                    } else {
-                        wsum4x2::<false>(wsa, wsb, s0, s1, s2, s3, out_a, out_b);
-                    }
-                };
-                for i in 0..k {
-                    let (wa, wb) = (wj[i], wjb[i]);
-                    if wa == 0.0 && wb == 0.0 {
-                        continue;
-                    }
-                    wsa[fill] = wa;
-                    wsb[fill] = wb;
-                    idx[fill] = i;
-                    fill += 1;
-                    if fill == 4 {
-                        flush(wsa, wsb, idx, first);
-                        first = false;
-                        fill = 0;
-                    }
-                }
-                if fill > 0 {
-                    for slot in fill..4 {
-                        wsa[slot] = 0.0;
-                        wsb[slot] = 0.0;
-                        idx[slot] = idx[0];
-                    }
-                    flush(wsa, wsb, idx, first);
-                }
-                j += 2;
-                continue;
-            }
-            let out = {
-                let off = j * m;
-                let col = if off < x.len() {
-                    &mut x[off..off + m]
-                } else {
-                    let off = off - x.len();
-                    &mut y[off..off + m]
-                };
-                &mut col[r0..r0 + tb]
-            };
-            let src_of = |i: usize| &tile[i * PANEL_TILE..i * PANEL_TILE + tb];
-            match nnz_of(wj) {
-                0 => out.fill(0.0),
-                1 => {
-                    let i = wj.iter().position(|&v| v != 0.0).expect("nnz == 1");
-                    scaled_copy(wj[i], src_of(i), out);
-                }
-                _ => {
-                    // batches of four nonzero sources; a final partial
-                    // batch is padded with zero weights (exact no-ops)
-                    let mut ws = [0.0f64; 4];
-                    let mut idx = [0usize; 4];
-                    let (mut fill, mut first) = (0usize, true);
-                    for (i, &wij) in wj.iter().enumerate() {
-                        if wij == 0.0 {
-                            continue;
-                        }
-                        ws[fill] = wij;
-                        idx[fill] = i;
-                        fill += 1;
-                        if fill == 4 {
-                            let (s0, s1, s2, s3) =
-                                (src_of(idx[0]), src_of(idx[1]), src_of(idx[2]), src_of(idx[3]));
-                            if first {
-                                wsum4::<true>(ws, s0, s1, s2, s3, out);
-                                first = false;
-                            } else {
-                                wsum4::<false>(ws, s0, s1, s2, s3, out);
-                            }
-                            fill = 0;
-                        }
-                    }
-                    if fill > 0 {
-                        for slot in fill..4 {
-                            ws[slot] = 0.0;
-                            idx[slot] = idx[0];
-                        }
-                        let (s0, s1, s2, s3) =
-                            (src_of(idx[0]), src_of(idx[1]), src_of(idx[2]), src_of(idx[3]));
-                        if first {
-                            wsum4::<true>(ws, s0, s1, s2, s3, out);
-                        } else {
-                            wsum4::<false>(ws, s0, s1, s2, s3, out);
-                        }
-                    }
-                }
-            }
-            j += 1;
-        }
+        let outs = x.chunks_exact_mut(m).chain(y.chunks_exact_mut(m)).map(|c| &mut c[r0..r0 + tb]);
+        acc_all(tile, PANEL_TILE, w, k, 1.0, true, outs, k);
         r0 += tb;
     }
 }
@@ -1085,9 +1052,10 @@ pub fn panel_update(x: &mut [f64], y: &mut [f64], m: usize, w: &[f64], tile: &mu
 /// `ldb` ≥ `rows`), which is how the tall-skinny QR applies a block
 /// reflector to a row-band of the trailing matrix without copying it.
 ///
-/// Computed in 2×2 register blocks by the same [`dot4`] micro-kernel as
-/// [`gram_block`] (four reductions per pass, every column load shared by
-/// two of them), with single-[`dot`] edges for odd `ka`/`kb`.
+/// Computed in `4×4` register blocks by the same [`dot_block`] kernel as
+/// [`gram_block_lower`] (16 reductions per pass, every column load shared
+/// by four of them), `2`-wide blocks where `ka` or `kb` leaves a pair,
+/// and single-[`dot`] edges for odd `ka`/`kb`.
 ///
 /// # Panics
 /// Panics if a panel is too short for its `(rows, ld, k)` view, if a
@@ -1113,18 +1081,16 @@ pub fn gemm_tn(
     let col_a = |i: usize| &a[i * lda..i * lda + rows];
     let col_b = |j: usize| &b[j * ldb..j * ldb + rows];
     let (kae, kbe) = (ka & !1, kb & !1);
-    for j in (0..kbe).step_by(2) {
-        let (bj0, bj1) = (col_b(j), col_b(j + 1));
-        for i in (0..kae).step_by(2) {
-            let d = dot4(col_a(i), col_a(i + 1), bj0, bj1);
-            out[i + ka * j] = d[0];
-            out[i + 1 + ka * j] = d[1];
-            out[i + ka * (j + 1)] = d[2];
-            out[i + 1 + ka * (j + 1)] = d[3];
+    for j in (0..kbe).step_by(4) {
+        let nc = (kbe - j).min(4);
+        for i in (0..kae).step_by(4) {
+            let nr = (kae - i).min(4);
+            dot_block_dyn(col_a, i, nr, col_b, j, nc, |r, c, v| out[i + r + ka * (j + c)] = v);
         }
         if ka != kae {
-            out[ka - 1 + ka * j] = dot(col_a(ka - 1), bj0);
-            out[ka - 1 + ka * (j + 1)] = dot(col_a(ka - 1), bj1);
+            for c in j..j + nc {
+                out[ka - 1 + ka * c] = dot(col_a(ka - 1), col_b(c));
+            }
         }
     }
     if kb != kbe {
@@ -1139,11 +1105,11 @@ pub fn gemm_tn(
 /// output: `A` is `rows×p` (column stride `lda`), `W` is a dense `p×q`
 /// column-major coefficient block, and column `j` of `C` is
 /// `c[j·ldc .. j·ldc + rows]`. This is the second half of a compact-WY
-/// block-reflector application (`C ← C − V·(TᵀVᵀC)`), expressed on the
-/// same [`wsum4`]/[`wsum4x2`] micro-kernels as [`panel_update`]:
+/// block-reflector application (`C ← C − V·(TᵀVᵀC)`), on the same
+/// [`acc_block`] kernel as [`panel_update`] with the weights `α·W`:
 /// row-tiled by [`PANEL_TILE`] so the `A` tile stays cache-resident
-/// across all `q` output columns, two outputs per pass when possible so
-/// every source load is shared.
+/// across all `q` output columns, four outputs per pass so every source
+/// load feeds four of them.
 ///
 /// # Panics
 /// Panics if a panel is too short for its view, a leading dimension is
@@ -1170,106 +1136,18 @@ pub fn gemm_acc(
     let mut r0 = 0;
     while r0 < rows {
         let tb = (rows - r0).min(PANEL_TILE);
-        let src_of = |i: usize| &a[i * lda + r0..i * lda + r0 + tb];
-        let mut j = 0;
-        // pairs of output columns share every source load
-        while j + 1 < q {
-            let (wj, wj1) = (&w[p * j..p * (j + 1)], &w[p * (j + 1)..p * (j + 2)]);
-            let (head, tail) = c.split_at_mut((j + 1) * ldc);
-            let out_a = &mut head[j * ldc + r0..j * ldc + r0 + tb];
-            let out_b = &mut tail[r0..r0 + tb];
-            let mut wsa = [0.0f64; 4];
-            let mut wsb = [0.0f64; 4];
-            let mut idx = [0usize; 4];
-            let mut fill = 0usize;
-            for i in 0..p {
-                let (wa, wb) = (alpha * wj[i], alpha * wj1[i]);
-                if wa == 0.0 && wb == 0.0 {
-                    continue;
-                }
-                wsa[fill] = wa;
-                wsb[fill] = wb;
-                idx[fill] = i;
-                fill += 1;
-                if fill == 4 {
-                    wsum4x2::<false>(
-                        wsa,
-                        wsb,
-                        src_of(idx[0]),
-                        src_of(idx[1]),
-                        src_of(idx[2]),
-                        src_of(idx[3]),
-                        out_a,
-                        out_b,
-                    );
-                    fill = 0;
-                }
-            }
-            if fill > 0 {
-                for slot in fill..4 {
-                    wsa[slot] = 0.0;
-                    wsb[slot] = 0.0;
-                    idx[slot] = idx[0];
-                }
-                wsum4x2::<false>(
-                    wsa,
-                    wsb,
-                    src_of(idx[0]),
-                    src_of(idx[1]),
-                    src_of(idx[2]),
-                    src_of(idx[3]),
-                    out_a,
-                    out_b,
-                );
-            }
-            j += 2;
-        }
-        if j < q {
-            let wj = &w[p * j..p * (j + 1)];
-            let out = &mut c[j * ldc + r0..j * ldc + r0 + tb];
-            let mut ws = [0.0f64; 4];
-            let mut idx = [0usize; 4];
-            let mut fill = 0usize;
-            for (i, &wij) in wj.iter().enumerate() {
-                if wij == 0.0 {
-                    continue;
-                }
-                ws[fill] = alpha * wij;
-                idx[fill] = i;
-                fill += 1;
-                if fill == 4 {
-                    wsum4::<false>(
-                        ws,
-                        src_of(idx[0]),
-                        src_of(idx[1]),
-                        src_of(idx[2]),
-                        src_of(idx[3]),
-                        out,
-                    );
-                    fill = 0;
-                }
-            }
-            if fill > 0 {
-                for slot in fill..4 {
-                    ws[slot] = 0.0;
-                    idx[slot] = idx[0];
-                }
-                wsum4::<false>(
-                    ws,
-                    src_of(idx[0]),
-                    src_of(idx[1]),
-                    src_of(idx[2]),
-                    src_of(idx[3]),
-                    out,
-                );
-            }
-        }
+        let outs = c.chunks_mut(ldc).map(|col| &mut col[r0..r0 + tb]);
+        acc_all(&a[r0..], lda, w, p, alpha, false, outs, q);
         r0 += tb;
     }
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::scaled_copy;
     use super::*;
 
     #[test]

@@ -30,7 +30,8 @@
 //!   `Q_node = I − V·T·Vᵀ`, so applying a node to `k` columns is two
 //!   tall-skinny GEMMs ([`ops::gemm_tn`], [`ops::gemm_acc`]) around a
 //!   small triangular multiply — BLAS-3-shaped work on the same
-//!   `dot4`/`wsum4` micro-kernels as the blocked Jacobi panel update.
+//!   register-blocked micro-kernels as the blocked Jacobi meeting (`4×4`
+//!   dot blocks for `VᵀC`, 4-output accumulate blocks for `C − V·W`).
 //! * **Trailing update / apply-Q** parallelize over *column chunks*: each
 //!   lane owns a contiguous group of columns and applies the whole tree
 //!   to it (leaves, then combines for `Qᵀ`; the reverse for `Q`), so no

@@ -15,6 +15,17 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
+echo "== kernel bodies below AVX-512: treesvd-matrix tests at x86-64-v3 (AVX2+FMA) and x86-64 (portable) =="
+# .cargo/config.toml builds for the host CPU, so an AVX-512 host compiles
+# only the AVX-512 bodies of the ops kernels; these runs compile the other
+# two and pin them to the retired kernels and the scalar references
+# (ops::oracle). RUSTFLAGS replaces the config's flags, so each target CPU
+# gets its own target directory.
+RUSTFLAGS="-C target-cpu=x86-64-v3" \
+    cargo test --release --offline -p treesvd-matrix --target-dir target/cpu-x86-64-v3
+RUSTFLAGS="-C target-cpu=x86-64" \
+    cargo test --release --offline -p treesvd-matrix --target-dir target/cpu-x86-64
+
 echo "== bench smoke: fused vs unfused rotation (512x64) =="
 cargo run --release -p treesvd-bench --bin bench_kernels -- --smoke
 
