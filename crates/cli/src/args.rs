@@ -149,6 +149,9 @@ fn cmd_svd(rest: &[String]) -> Result<String, String> {
     let processors = take_flag(&mut args, "--processors")?
         .map(|p| p.parse::<usize>().map_err(|e| format!("--processors: {e}")))
         .transpose()?;
+    if processors == Some(0) {
+        return Err("--processors must be at least 1".to_string());
+    }
     let block_kernel_flag = take_flag(&mut args, "--block-kernel")?;
     let block_kernel = match block_kernel_flag.as_deref() {
         None => BlockKernel::Gram,
@@ -691,6 +694,12 @@ mod tests {
         }
         assert!(run(&argv(&["svd", p.to_str().unwrap(), "--block-kernel", "nope"])).is_err());
         assert!(run(&argv(&["svd", p.to_str().unwrap(), "--threads", "0"])).is_err());
+        for extra in [&[][..], &["--auto"]] {
+            let mut args = vec!["svd", p.to_str().unwrap(), "--processors", "0"];
+            args.extend_from_slice(extra);
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(err.contains("--processors must be at least 1"), "{err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! verify, certificates validate. The tuner requests; the gates decide.
 
 use crate::blocked::{blocked_svd, BlockedOptions, BlockedRun};
-use crate::driver::HestenesSvd;
 use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
 use crate::result::Svd;
 use treesvd_matrix::Matrix;
@@ -80,9 +79,7 @@ pub struct AutoRun {
 /// [`TuneProblem::new`]`(a.rows(), a.cols())`.
 ///
 /// # Errors
-/// As the planned driver ([`HestenesSvd::compute`],
-/// [`HestenesSvd::compute_distributed`](crate::HestenesSvd::compute_distributed),
-/// or [`blocked_svd`]).
+/// As [`blocked_svd`], the driver every plan runs.
 pub fn auto_svd(a: &Matrix) -> Result<AutoRun, SvdError> {
     auto_svd_for(a, &TuneProblem::new(a.rows(), a.cols()))
 }
@@ -103,31 +100,10 @@ pub fn auto_svd_for(a: &Matrix, problem: &TuneProblem) -> Result<AutoRun, SvdErr
 /// path and the transparency property test (which hand-builds the same
 /// options and must get bitwise-identical output).
 pub fn run_plan(a: &Matrix, plan: &TunePlan, options: SvdOptions) -> Result<AutoRun, SvdError> {
-    match plan.driver {
-        DriverSel::Blocked { processors } => {
-            let opts = BlockedOptions { processors: processors.max(1) as usize, svd: options };
-            let BlockedRun { svd, sweeps, qr_frontend, .. } = blocked_svd(a, &opts)?;
-            Ok(AutoRun { svd, sweeps, plan: *plan, qr_frontend })
-        }
-        DriverSel::Distributed => {
-            let run = HestenesSvd::new(options).compute_distributed(a)?;
-            Ok(AutoRun {
-                svd: run.svd,
-                sweeps: run.sweeps,
-                plan: *plan,
-                qr_frontend: run.qr_frontend,
-            })
-        }
-        DriverSel::Simulated => {
-            let run = HestenesSvd::new(options).compute(a)?;
-            Ok(AutoRun {
-                svd: run.svd,
-                sweeps: run.sweeps,
-                plan: *plan,
-                qr_frontend: run.qr_frontend,
-            })
-        }
-    }
+    let DriverSel::Blocked { processors } = plan.driver;
+    let opts = BlockedOptions { processors: processors.max(1) as usize, svd: options };
+    let BlockedRun { svd, sweeps, qr_frontend, .. } = blocked_svd(a, &opts)?;
+    Ok(AutoRun { svd, sweeps, plan: *plan, qr_frontend })
 }
 
 #[cfg(test)]

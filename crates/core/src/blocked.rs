@@ -45,15 +45,22 @@
 //! ([`treesvd_sim::par`]) with one scratch arena per lane; after the first
 //! sweep the driver performs no allocation (block movement swaps
 //! pre-allocated buffers, and the Gram/`W`/tile scratches are reused).
+//!
+//! Like the unblocked drivers, this one is only a sweep core inside the
+//! shared solve shell (`shell.rs`). The shell transposes wide inputs,
+//! runs the QR front-end, and extracts `U`, `σ` and `V` from the
+//! converged blocks, which it reads by label without copying them.
+//! Novaković's blocked scheme (arXiv 1401.2720) is the same algorithm
+//! run at block granularity, so it needs no extraction of its own.
 
-use crate::options::{BlockKernel, HierBlocking, OrderingChoice, SvdError, SvdOptions};
-use crate::result::{complete_orthonormal, Svd};
+use crate::options::{BlockKernel, HierBlocking, SvdError, SvdOptions};
+use crate::result::Svd;
+use crate::shell::{solve, Converged, Swept};
 use treesvd_matrix::ops;
 use treesvd_matrix::rotation::{
     apply_rotation, apply_rotation_swapped, compute_rotation, orthogonalize_pair,
 };
 use treesvd_matrix::Matrix;
-use treesvd_orderings::JacobiOrdering;
 use treesvd_sim::par;
 
 /// Options for the blocked driver: the machine size plus the usual knobs.
@@ -161,36 +168,45 @@ struct MeetCtx {
 /// # Panics
 /// Panics if `opts.processors == 0`.
 pub fn blocked_svd(a: &Matrix, opts: &BlockedOptions) -> Result<BlockedRun, SvdError> {
-    blocked_svd_inner(a, opts, true)
+    assert!(opts.processors > 0, "need at least one processor");
+    let run = solve(a, &opts.svd, |w| sweep_blocks(w, opts))?;
+    let (sweeps, total_rotations, steady_alloc_events) = run.stats;
+    Ok(BlockedRun {
+        svd: run.svd,
+        sweeps,
+        block_size: run.padded_n / (2 * opts.processors),
+        total_rotations,
+        steady_alloc_events: steady_alloc_events + run.qr.map_or(0, |qr| qr.steady_alloc_events),
+        qr_frontend: run.qr.is_some(),
+    })
 }
 
-/// The blocked driver behind the front-end gate: `allow_frontend` is
-/// dropped for the recursive solve on `R` (square, but a degenerate
-/// crossover setting must not re-enter the factorization).
-pub(crate) fn blocked_svd_inner(
-    a: &Matrix,
-    opts: &BlockedOptions,
-    allow_frontend: bool,
-) -> Result<BlockedRun, SvdError> {
-    assert!(opts.processors > 0, "need at least one processor");
-    if a.rows() == 0 || a.cols() == 0 {
-        return Err(SvdError::EmptyMatrix);
-    }
-    if a.rows() < a.cols() {
-        let at = a.transpose();
-        let mut run = blocked_svd_inner(&at, opts, allow_frontend)?;
-        std::mem::swap(&mut run.svd.u, &mut run.svd.v);
-        return Ok(run);
-    }
-    if allow_frontend && crate::tall::engages(&opts.svd, a.rows(), a.cols()) {
-        let qr = crate::tall::factor(a, &opts.svd)?;
-        let mut run = blocked_svd_inner(qr.r(), opts, false)?;
-        run.svd.u = crate::tall::back_transform(&qr, &run.svd.u, crate::tall::lanes(&opts.svd));
-        run.steady_alloc_events += qr.stats().steady_alloc_events;
-        run.qr_frontend = true;
-        return Ok(run);
+/// The converged blocks, with each label's place in them.
+struct Blocks {
+    slots: Vec<BlockSlot>,
+    /// `locate[j] = (slot, k)`: label `j` is column `k` of `slots[slot]`.
+    locate: Vec<(usize, usize)>,
+    /// Rows of the `A` columns.
+    m: usize,
+}
+
+impl Converged for Blocks {
+    fn padded_n(&self) -> usize {
+        self.locate.len()
     }
 
+    fn column(&self, j: usize) -> (&[f64], &[f64]) {
+        let ((s, k), m, n_pad) = (self.locate[j], self.m, self.locate.len());
+        let slot = &self.slots[s];
+        (&slot.a[k * m..(k + 1) * m], slot.v.get(k * n_pad..(k + 1) * n_pad).unwrap_or(&[]))
+    }
+}
+
+/// The blocked sweep core: distribute the `m ≥ n` working matrix over
+/// `2P` block slots and sweep the block ordering to convergence. Returns
+/// (sweeps, rotations, steady-state allocation events) and the converged
+/// blocks.
+fn sweep_blocks(a: &Matrix, opts: &BlockedOptions) -> Swept<(usize, usize, u64), Blocks> {
     let (m, n) = a.shape();
     let n_super = 2 * opts.processors;
     // block size: smallest c with n <= c * n_super
@@ -199,14 +215,7 @@ pub(crate) fn blocked_svd_inner(
 
     // A single processor needs no ordering: both blocks are resident and
     // every sweep is one meeting of the pair.
-    let ordering: Option<Box<dyn JacobiOrdering>> = if n_super > 2 {
-        Some(match &opts.svd.ordering {
-            OrderingChoice::Kind(k) => k.build(n_super)?,
-            OrderingChoice::Custom(f) => f(n_super)?,
-        })
-    } else {
-        None
-    };
+    let ordering = (n_super > 2).then(|| opts.svd.ordering.build(n_super)).transpose()?;
 
     // distribute columns: super-slot s holds labels [s*c, (s+1)*c),
     // stored contiguously per slot (padding columns stay zero)
@@ -306,65 +315,14 @@ pub(crate) fn blocked_svd_inner(
     }
     let steady_alloc_events = scratches.iter().map(|s| s.alloc_events).sum::<u64>() - warm_alloc;
 
-    // locate each label's column: label block `layout[s]` lives in slot s
-    let mut locate: Vec<(usize, usize)> = vec![(0, 0); n_pad];
+    // label block `layout[s]` lives in slot s
+    let mut locate = vec![(0, 0); n_pad];
     for (s, &label_block) in layout.iter().enumerate() {
         for k in 0..c {
             locate[label_block * c + k] = (s, k);
         }
     }
-
-    // extraction (mirrors the unblocked driver)
-    let col_of = |j: usize| -> &[f64] {
-        let (s, k) = locate[j];
-        &slots[s].a[k * m..(k + 1) * m]
-    };
-    let norms: Vec<f64> = (0..n).map(|j| ops::norm2(col_of(j))).collect();
-    let max_norm = norms.iter().fold(0.0_f64, |acc, &x| acc.max(x));
-    let rank_tol = max_norm * n_pad as f64 * f64::EPSILON;
-    let mut u = Matrix::zeros(m, n).map_err(|_| SvdError::EmptyMatrix)?;
-    let mut sigma = vec![0.0; n];
-    let mut zero_u = Vec::new();
-    for j in 0..n {
-        if norms[j] > rank_tol {
-            sigma[j] = norms[j];
-            let mut col = col_of(j).to_vec();
-            ops::scal(1.0 / norms[j], &mut col);
-            u.set_col(j, &col);
-        } else {
-            zero_u.push(j);
-        }
-    }
-    let rank = n - zero_u.len();
-    complete_orthonormal(&mut u, &zero_u);
-
-    let v = if vectors {
-        let mut v = Matrix::zeros(n, n).map_err(|_| SvdError::EmptyMatrix)?;
-        let mut zero_v = Vec::new();
-        for j in 0..n {
-            let (s, k) = locate[j];
-            let vj = &slots[s].v[k * n_pad..(k + 1) * n_pad];
-            let head_norm = ops::norm2(&vj[..n]);
-            if sigma[j] > 0.0 || head_norm > 0.5 {
-                v.set_col(j, &vj[..n]);
-            } else {
-                zero_v.push(j);
-            }
-        }
-        complete_orthonormal(&mut v, &zero_v);
-        v
-    } else {
-        Matrix::identity(n, n).map_err(|_| SvdError::EmptyMatrix)?
-    };
-
-    Ok(BlockedRun {
-        svd: Svd { u, sigma, v, rank },
-        sweeps,
-        block_size: c,
-        total_rotations,
-        steady_alloc_events,
-        qr_frontend: false,
-    })
+    Ok(((sweeps, total_rotations, steady_alloc_events), Blocks { slots, locate, m }))
 }
 
 /// The largest normalized coupling `|a_i·a_j| / (‖a_i‖‖a_j‖)` over every

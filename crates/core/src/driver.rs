@@ -1,19 +1,22 @@
-//! The parallel Hestenes SVD driver.
+//! The paper's two Hestenes drivers: the simulated tree machine
+//! ([`HestenesSvd::compute`]) and the thread-per-rank distributed
+//! executor ([`HestenesSvd::compute_distributed`]).
 //!
-//! Orchestrates: shape normalization (transpose wide inputs, pad the
-//! column count to the ordering's requirement with zero columns),
-//! distribution over the simulated machine, sweeping until the paper's
-//! termination criterion holds (a complete sweep with no rotation and no
-//! interchange), and extraction of `U`, `σ`, `V` in index order with
-//! rank handling.
+//! Each is only a sweep core: pad the column count to the ordering's
+//! requirement with zero columns, distribute the columns, and sweep
+//! until the paper's termination criterion holds (a complete sweep with
+//! no rotation and no interchange). Shape handling, the QR front-end and
+//! the extraction of `U`, `σ`, `V` in index order with rank handling are
+//! the solve shell's (`shell.rs`), shared with the blocked driver.
 
-use crate::options::{OrderingChoice, SvdError, SvdOptions};
-use crate::result::{complete_orthonormal, Svd};
+use crate::options::{SvdError, SvdOptions};
+use crate::result::Svd;
+use crate::shell::{solve, Swept};
 use treesvd_matrix::Matrix;
 use treesvd_net::Topology;
 use treesvd_orderings::{JacobiOrdering, OrderingError, OrderingKind};
 use treesvd_sim::{
-    execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, Machine, SortMode,
+    execute_program_with_scratch, ColumnStore, ExecConfig, ExecScratch, HealthReport, Machine,
     SweepStats,
 };
 
@@ -41,7 +44,7 @@ pub struct SvdRun {
     pub off_history: Vec<f64>,
     /// Recovery summary of a distributed run (injected faults, retries,
     /// restarts, ladder descents). `None` on the simulated path.
-    pub health: Option<treesvd_sim::HealthReport>,
+    pub health: Option<HealthReport>,
     /// Whether the tall-skinny QR front-end engaged: the sweeps ran on
     /// the `n×n` factor `R` and `U` was back-transformed through `Q`
     /// (see [`SvdOptions::qr_frontend`]).
@@ -60,6 +63,11 @@ impl SvdRun {
         self.sweep_stats.iter().map(|s| s.rotations).sum()
     }
 }
+
+/// A Hestenes sweep core's statistics: sweeps, per-sweep statistics,
+/// off-diagonal history (both simulated only) and the recovery summary
+/// (distributed only).
+type CoreStats = (usize, Vec<SweepStats>, Vec<f64>, Option<HealthReport>);
 
 /// The parallel one-sided Jacobi SVD solver.
 #[derive(Debug)]
@@ -91,26 +99,29 @@ impl HestenesSvd {
     /// [`SvdError::Ordering`] if no padded size suits the ordering, and
     /// [`SvdError::NoConvergence`] if `max_sweeps` is exhausted.
     pub fn compute(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
-        if a.rows() == 0 || a.cols() == 0 {
-            return Err(SvdError::EmptyMatrix);
-        }
-        if a.rows() >= a.cols() {
-            self.compute_tall(a, false, true)
-        } else {
-            let at = a.transpose();
-            let mut run = self.compute_tall(&at, true, true)?;
-            // A = U Σ Vᵀ with Aᵀ = V Σ Uᵀ: swap the factors back
-            std::mem::swap(&mut run.svd.u, &mut run.svd.v);
-            Ok(run)
-        }
+        self.run(a, |w| self.sweep_simulated(w))
     }
 
-    /// Instantiate the configured ordering for `n_padded` columns.
-    fn build_ordering(&self, n_padded: usize) -> Result<Box<dyn JacobiOrdering>, OrderingError> {
-        match &self.options.ordering {
-            OrderingChoice::Kind(k) => k.build(n_padded),
-            OrderingChoice::Custom(f) => f(n_padded),
-        }
+    /// Run a sweep core inside the solve shell and report it.
+    fn run(
+        &self,
+        a: &Matrix,
+        core: impl FnOnce(&Matrix) -> Swept<CoreStats, ColumnStore>,
+    ) -> Result<SvdRun, SvdError> {
+        let run = solve(a, &self.options, core)?;
+        let (sweeps, sweep_stats, off_history, health) = run.stats;
+        Ok(SvdRun {
+            svd: run.svd,
+            sweeps,
+            converged: true,
+            simulated_time: sweep_stats.iter().map(SweepStats::total_time).sum(),
+            sweep_stats,
+            transposed: run.transposed,
+            padded_n: run.padded_n,
+            off_history,
+            health,
+            qr_frontend: run.qr.is_some(),
+        })
     }
 
     /// Build the ordering and, when `verify_schedule` is set, gate it
@@ -120,7 +131,7 @@ impl HestenesSvd {
     /// — witness validation instead of re-proving; mismatch on a matching
     /// key is a hard error, version skew silently re-proves.
     fn checked_ordering(&self, n_padded: usize) -> Result<Box<dyn JacobiOrdering>, SvdError> {
-        let ordering = self.build_ordering(n_padded)?;
+        let ordering = self.options.ordering.build(n_padded)?;
         if self.options.verify_schedule {
             match &self.options.certificate_cache {
                 Some(cache) => {
@@ -143,81 +154,58 @@ impl HestenesSvd {
         let start = n.max(4);
         // even candidate
         let even = start + start % 2;
-        if self.build_ordering(even).is_ok() {
+        if self.options.ordering.build(even).is_ok() {
             return Ok(even);
         }
         let pow2 = start.next_power_of_two();
-        self.build_ordering(pow2).map(|_| pow2)
+        self.options.ordering.build(pow2).map(|_| pow2)
     }
 
-    /// Run the chosen Jacobi driver on `A = QR`'s small factor `R`, then
-    /// back-transform `U ← Q·U_R` (the tall-skinny front-end; see
-    /// [`crate::tall`]). The inner solve runs with the front-end barred:
-    /// `R` is square, and the guard must hold even for degenerate
-    /// crossover settings.
-    fn frontend_run(
-        &self,
-        a: &Matrix,
-        transposed: bool,
-        distributed: bool,
-    ) -> Result<SvdRun, SvdError> {
-        let qr = crate::tall::factor(a, &self.options)?;
-        let mut run = if distributed {
-            self.compute_distributed_inner(qr.r(), false)?
-        } else {
-            self.compute_tall(qr.r(), false, false)?
-        };
-        run.svd.u = crate::tall::back_transform(&qr, &run.svd.u, crate::tall::lanes(&self.options));
-        run.transposed = transposed;
-        run.qr_frontend = true;
-        Ok(run)
+    /// The working matrix's columns in label order, padded with zero
+    /// columns to `n_pad`.
+    fn padded_columns(a: &Matrix, n_pad: usize) -> Vec<Vec<f64>> {
+        let mut columns: Vec<Vec<f64>> = (0..a.cols()).map(|j| a.col(j).to_vec()).collect();
+        columns.resize(n_pad, vec![0.0; a.rows()]);
+        columns
     }
 
-    fn compute_tall(
-        &self,
-        a: &Matrix,
-        transposed: bool,
-        allow_frontend: bool,
-    ) -> Result<SvdRun, SvdError> {
-        let (m, n) = a.shape();
-        debug_assert!(m >= n);
-        if allow_frontend && crate::tall::engages(&self.options, m, n) {
-            return self.frontend_run(a, transposed, false);
+    /// The executor settings both cores share.
+    fn exec_config(&self, n_pad: usize, cached_norms: bool) -> ExecConfig {
+        ExecConfig {
+            threshold: self.options.threshold.unwrap_or(n_pad as f64 * f64::EPSILON),
+            sort: self.options.sort,
+            cached_norms,
+            serial_cutoff: self.options.serial_cutoff,
+            threads: self.options.threads.unwrap_or(0),
         }
-        let n_pad = self.padded_size(n)?;
-        let ordering = self.checked_ordering(n_pad)?;
+    }
 
-        // distribute columns (zero columns as padding)
-        let mut columns = a.clone().into_columns();
-        columns.resize(n_pad, vec![0.0; m]);
-        let mut store = ColumnStore::from_columns(columns, self.options.vectors);
+    /// The simulated machine's sweep core: per-sweep statistics and the
+    /// off-diagonal history, plus the converged store.
+    fn sweep_simulated(&self, a: &Matrix) -> Swept<CoreStats, ColumnStore> {
+        let n_pad = self.padded_size(a.cols())?;
+        let ordering = self.checked_ordering(n_pad)?;
+        let mut store =
+            ColumnStore::from_columns(Self::padded_columns(a, n_pad), self.options.vectors);
 
         // ring orderings accept any even n, so the processor count may not
         // be a power of two; embed the processors in the smallest complete
         // binary tree that holds them (extra leaves stay idle)
         let leaves = (n_pad / 2).next_power_of_two().max(2);
         let machine = Machine::new(Topology::new(self.options.topology, leaves), self.options.cost);
-        let threshold = self.options.threshold.unwrap_or(n_pad as f64 * f64::EPSILON);
-        let config = ExecConfig {
-            threshold,
-            sort: self.options.sort,
-            cached_norms: self.options.cached_norms,
-            serial_cutoff: self.options.serial_cutoff,
-            threads: self.options.threads.unwrap_or(0),
-        };
+        let config = self.exec_config(n_pad, self.options.cached_norms);
 
         // the layout cycle repeats with the ordering's restore period, so
         // the sweep programs can be generated once and reused
         let period = ordering.restore_period().max(1);
         let cached_programs = ordering.programs(period);
 
+        let threads = self.options.threads.unwrap_or(0);
         let mut sweep_stats: Vec<SweepStats> = Vec::new();
         let mut off_history: Vec<f64> = Vec::new();
         if self.options.track_off {
-            off_history
-                .push(treesvd_sim::off_measure_limited(&store, self.options.threads.unwrap_or(0)));
+            off_history.push(treesvd_sim::off_measure_limited(&store, threads));
         }
-        let mut converged = false;
         // one scratch for the whole run: after the first step of the first
         // sweep the executor allocates nothing per step
         let mut scratch = ExecScratch::new();
@@ -227,38 +215,17 @@ impl HestenesSvd {
             let stats =
                 execute_program_with_scratch(&machine, prog, &mut store, &config, &mut scratch);
             if self.options.track_off {
-                off_history.push(treesvd_sim::off_measure_limited(
-                    &store,
-                    self.options.threads.unwrap_or(0),
-                ));
+                off_history.push(treesvd_sim::off_measure_limited(&store, threads));
             }
             let done = stats.is_converged();
             sweep_stats.push(stats);
             if done {
-                converged = true;
-                break;
+                return Ok(((sweep_stats.len(), sweep_stats, off_history, None), store));
             }
         }
-        if !converged {
-            return Err(SvdError::NoConvergence {
-                sweeps: sweep_stats.len(),
-                last_coupling: sweep_stats.last().map_or(f64::NAN, |s| s.max_coupling),
-            });
-        }
-
-        let simulated_time = sweep_stats.iter().map(|s| s.total_time()).sum();
-        let svd = self.extract(a, &store, m, n, n_pad)?;
-        Ok(SvdRun {
-            svd,
+        Err(SvdError::NoConvergence {
             sweeps: sweep_stats.len(),
-            converged,
-            sweep_stats,
-            simulated_time,
-            transposed,
-            padded_n: n_pad,
-            off_history,
-            health: None,
-            qr_frontend: false,
+            last_coupling: sweep_stats.last().map_or(f64::NAN, |s| s.max_coupling),
         })
     }
 
@@ -281,40 +248,15 @@ impl HestenesSvd {
     /// the executor fails past its recovery budget — carrying the failing
     /// rank, sweep, step, and message context.
     pub fn compute_distributed(&self, a: &Matrix) -> Result<SvdRun, SvdError> {
-        self.compute_distributed_inner(a, true)
+        self.run(a, |w| self.sweep_distributed(w))
     }
 
-    fn compute_distributed_inner(
-        &self,
-        a: &Matrix,
-        allow_frontend: bool,
-    ) -> Result<SvdRun, SvdError> {
-        if a.rows() == 0 || a.cols() == 0 {
-            return Err(SvdError::EmptyMatrix);
-        }
-        if a.rows() < a.cols() {
-            let at = a.transpose();
-            let mut run = self.compute_distributed_inner(&at, allow_frontend)?;
-            std::mem::swap(&mut run.svd.u, &mut run.svd.v);
-            run.transposed = true;
-            return Ok(run);
-        }
+    /// The distributed executor's sweep core: the sweep count and the
+    /// recovery summary, plus the converged store.
+    fn sweep_distributed(&self, a: &Matrix) -> Swept<CoreStats, ColumnStore> {
         let (m, n) = a.shape();
-        if allow_frontend && crate::tall::engages(&self.options, m, n) {
-            return self.frontend_run(a, false, true);
-        }
         let n_pad = self.padded_size(n)?;
         let ordering = self.checked_ordering(n_pad)?;
-        let mut columns = a.clone().into_columns();
-        columns.resize(n_pad, vec![0.0; m]);
-        let threshold = self.options.threshold.unwrap_or(n_pad as f64 * f64::EPSILON);
-        let config = treesvd_sim::ExecConfig {
-            threshold,
-            sort: self.options.sort,
-            cached_norms: false, // the distributed path keeps the reference kernel
-            serial_cutoff: self.options.serial_cutoff,
-            threads: self.options.threads.unwrap_or(0),
-        };
         // Overlap: honor an explicit pin; otherwise ask the calibrated
         // cost model (which turns it off where the zero-copy transport
         // leaves nothing to hide — the recorded small-P regression). The
@@ -324,7 +266,8 @@ impl HestenesSvd {
             treesvd_tune::advise_overlap(m, n_pad, self.options.vectors, self.options.topology)
         });
         let dist_cfg = treesvd_sim::DistConfig {
-            exec: config,
+            // the distributed path keeps the reference kernel
+            exec: self.exec_config(n_pad, false),
             max_sweeps: self.options.max_sweeps,
             overlap,
             policy: self.options.effective_policy(),
@@ -333,7 +276,7 @@ impl HestenesSvd {
         };
         let outcome = treesvd_sim::distributed_svd_with(
             ordering.as_ref(),
-            columns,
+            Self::padded_columns(a, n_pad),
             self.options.vectors,
             &dist_cfg,
         )?;
@@ -344,112 +287,14 @@ impl HestenesSvd {
             });
         }
         let store = ColumnStore { slots: outcome.slots, layout: outcome.layout };
-        let svd = self.extract(a, &store, m, n, n_pad)?;
-        Ok(SvdRun {
-            svd,
-            sweeps: outcome.sweeps,
-            converged: true,
-            sweep_stats: Vec::new(),
-            simulated_time: 0.0,
-            transposed: false,
-            padded_n: n_pad,
-            off_history: Vec::new(),
-            health: Some(outcome.health),
-            qr_frontend: false,
-        })
-    }
-
-    /// Extract `U`, `σ`, `V` from the converged store.
-    fn extract(
-        &self,
-        a: &Matrix,
-        store: &ColumnStore,
-        m: usize,
-        n: usize,
-        n_pad: usize,
-    ) -> Result<Svd, SvdError> {
-        let mut cols = store.columns_in_index_order();
-        debug_assert_eq!(cols.len(), n_pad);
-
-        // singular values = column norms of the converged H = A·V
-        let mut norms: Vec<f64> = cols.iter().map(|c| treesvd_matrix::ops::norm2(&c.a)).collect();
-
-        // The larger-norm-to-smaller-label rule orders columns by the norms
-        // the sweep tracked; re-measuring the converged columns can land a
-        // (near-)duplicate pair the other way round in the last few ulps.
-        // Repair only those measurement-level ties — a larger inversion is
-        // a real ordering bug and must stay visible to the sorted-σ tests.
-        if self.options.sort == SortMode::Descending {
-            let tied = |lo: f64, hi: f64| hi - lo <= 4.0 * f64::EPSILON * hi;
-            let mut swapped = true;
-            while swapped {
-                swapped = false;
-                for j in 1..norms.len() {
-                    if norms[j - 1] < norms[j] && tied(norms[j - 1], norms[j]) {
-                        norms.swap(j - 1, j);
-                        cols.swap(j - 1, j);
-                        swapped = true;
-                    }
-                }
-            }
-        }
-        let max_norm = norms.iter().fold(0.0_f64, |acc, &v| acc.max(v));
-        let rank_tol = max_norm * n_pad as f64 * f64::EPSILON;
-
-        // keep the first n (for descending sort the padding zeros are at
-        // the tail; without sorting the padded columns never swap, so they
-        // also sit at labels >= n)
-        let mut u = Matrix::zeros(m, n).map_err(|_| SvdError::EmptyMatrix)?;
-        let mut sigma = vec![0.0; n];
-        let mut zero_u = Vec::new();
-        for j in 0..n {
-            sigma[j] = norms[j];
-            if norms[j] > rank_tol {
-                let mut col = cols[j].a.clone();
-                treesvd_matrix::ops::scal(1.0 / norms[j], &mut col);
-                u.set_col(j, &col);
-            } else {
-                sigma[j] = 0.0;
-                zero_u.push(j);
-            }
-        }
-        let rank = n - zero_u.len();
-        complete_orthonormal(&mut u, &zero_u);
-
-        let v = if self.options.vectors {
-            let mut v = Matrix::zeros(n, n).map_err(|_| SvdError::EmptyMatrix)?;
-            let mut zero_v = Vec::new();
-            for j in 0..n {
-                let vj = &cols[j].v;
-                // rotations only ever mix V columns within the original
-                // coordinates (padded columns never rotate), so a column
-                // belonging to a nonzero singular value is supported on
-                // the first n coordinates; a padded column that was
-                // swapped into the leading block is a unit vector in a
-                // padded coordinate and gets re-completed below.
-                let head_norm = treesvd_matrix::ops::norm2(&vj[..n]);
-                if sigma[j] > 0.0 || head_norm > 0.5 {
-                    let head: Vec<f64> = vj[..n].to_vec();
-                    v.set_col(j, &head);
-                } else {
-                    zero_v.push(j);
-                }
-            }
-            complete_orthonormal(&mut v, &zero_v);
-            v
-        } else {
-            Matrix::identity(n, n).map_err(|_| SvdError::EmptyMatrix)?
-        };
-
-        let _ = a;
-        Ok(Svd { u, sigma, v, rank })
+        Ok(((outcome.sweeps, Vec::new(), Vec::new(), Some(outcome.health)), store))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::SvdOptions;
+    use crate::options::OrderingChoice;
     use treesvd_matrix::{checks, generate};
     use treesvd_orderings::OrderingKind;
     use treesvd_sim::SortMode;
@@ -544,10 +389,6 @@ mod tests {
         let a = at.transpose(); // 3 x 10
         let run = HestenesSvd::new(SvdOptions::default()).compute(&a).unwrap();
         assert!(run.transposed);
-        // for a wide matrix the thin factors swap roles: U is 3x10? No —
-        // we return A = U Σ Vᵀ with U: 3×3? Our convention: factors of Aᵀ
-        // swapped, so u is m×k with k = min-dim... check reconstruction
-        // through the returned shapes instead:
         let svd = &run.svd;
         assert_eq!(svd.sigma.len(), 3);
         // Aᵀ = (V) Σ (U)ᵀ reconstructs, hence A = U Σ Vᵀ with the swap

@@ -47,6 +47,7 @@ pub mod options;
 mod proptests;
 pub mod result;
 pub mod sequential;
+mod shell;
 pub mod tall;
 
 pub use auto::{auto_svd, auto_svd_for, options_from_plan, AutoRun};

@@ -18,6 +18,16 @@ pub enum OrderingChoice {
     Custom(OrderingFactory),
 }
 
+impl OrderingChoice {
+    /// Instantiate the ordering for `n` (padded) columns.
+    pub(crate) fn build(&self, n: usize) -> Result<Box<dyn JacobiOrdering>, OrderingError> {
+        match self {
+            OrderingChoice::Kind(k) => k.build(n),
+            OrderingChoice::Custom(f) => f(n),
+        }
+    }
+}
+
 impl fmt::Debug for OrderingChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

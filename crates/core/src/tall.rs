@@ -5,7 +5,7 @@
 //! one-sided preprocessing stage could shrink first. The front-end
 //! factors `A = QR` with the TSQR tree of [`treesvd_matrix::qr`]
 //! (Faverge–Langou–Robert–Dongarra, arXiv 1611.06892), runs the chosen
-//! Jacobi driver on the small `n×n` factor `R`, and back-transforms
+//! driver's sweeps on the small `n×n` factor `R`, and back-transforms
 //!
 //! ```text
 //! R = U_R Σ Vᵀ   ⇒   A = QR = (Q·U_R) Σ Vᵀ,   so  U = Q·U_R
@@ -20,13 +20,15 @@
 //! subsequent sweep runs on an `n×n` working set. Correctness is aspect-
 //! independent — `Q` has orthonormal columns, so `Σ` and `V` of `R` are
 //! exactly those of `A`, and `U = Q·U_R` stays orthonormal even for
-//! rank-deficient `R` (the inner driver completes `U_R` to a full
-//! orthogonal basis).
+//! rank-deficient `R` (extraction completes `U_R` to a full orthogonal
+//! basis).
 //!
-//! Wide inputs (`m < n`) reach this stage through the drivers' existing
-//! transpose normalization: the front-end then runs on `Aᵀ` and the
-//! caller swaps `U`/`V` back, so extreme aspect ratios are handled on
-//! *both* sides.
+//! This module holds the pieces; the solve shell that every dense driver
+//! runs in (`shell.rs`) calls them in order: `engages`, `factor`, the
+//! driver's sweep core on `R`, one extraction, `back_transform`.
+//! Wide inputs (`m < n`) are transposed by the shell before the gate and
+//! have `U`/`V` swapped back after it, so extreme aspect ratios are
+//! handled on *both* sides.
 
 use crate::options::{SvdError, SvdOptions};
 use treesvd_matrix::qr::{Joiner, QrOptions, TsqrQr};
@@ -43,12 +45,11 @@ impl Joiner for PoolJoin {
     }
 }
 
-/// Whether the front-end engages for an `m × n` input (callers have
-/// already normalized to `m ≥ n`): opted in, strictly tall, and past the
-/// aspect-ratio crossover. The crossover is floored at 1 so a
-/// pathological option value cannot make the square `R` stage re-enter.
+/// Whether the front-end engages for an `m × n` input (the shell has
+/// already normalized to `m ≥ n`): opted in, and past the aspect-ratio
+/// crossover by the rule the tuner prices ([`treesvd_tune::qr_engages`]).
 pub(crate) fn engages(opts: &SvdOptions, m: usize, n: usize) -> bool {
-    opts.qr_frontend && m > n && m as f64 >= opts.qr_crossover.max(1.0) * n as f64
+    opts.qr_frontend && treesvd_tune::qr_engages(m, n, opts.qr_crossover)
 }
 
 /// The fork-lane budget for the QR stage: the explicit option, else the

@@ -33,7 +33,7 @@ pub mod plan;
 pub use cache::{ShapeClass, TuneCache, TuneKey};
 pub use calib::{CalibSource, Calibration};
 pub use model::compute_plan;
-pub use plan::{DriverSel, KernelSel, TunePlan, TuneProblem};
+pub use plan::{qr_engages, DriverSel, KernelSel, TunePlan, TuneProblem};
 
 use treesvd_net::TopologyKind;
 

@@ -70,23 +70,18 @@ impl TuneProblem {
     }
 }
 
-/// Which driver executes the problem. The tuner only ever plans
-/// [`DriverSel::Blocked`]; the other two name the paper-reproduction
-/// executors for callers that dispatch a hand-built plan.
+/// Which driver executes the problem: the blocked (Schreiber) driver,
+/// the production path and the only one the tuner plans. The paper's
+/// simulated and distributed executors take their options directly
+/// (`HestenesSvd::compute`, `compute_distributed`), not a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriverSel {
-    /// The step-simulated Hestenes driver (`HestenesSvd::compute`): the
-    /// central router walks the schedule, rotations fork on the
-    /// persistent pool.
-    Simulated,
     /// The blocked (Schreiber) driver with this many block pairs: `2p`
     /// block columns of width `c = n / 2p` meet pairwise.
     Blocked {
         /// Block-pair count (the blocked driver's `processors` argument).
         processors: u16,
     },
-    /// The thread-per-rank distributed executor over `treesvd-comm`.
-    Distributed,
 }
 
 impl DriverSel {
@@ -94,11 +89,19 @@ impl DriverSel {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            DriverSel::Simulated => "simulated",
             DriverSel::Blocked { .. } => "blocked",
-            DriverSel::Distributed => "distributed",
         }
     }
+}
+
+/// Whether the QR front-end engages for an `m × n` input (`m ≥ n`; wide
+/// inputs are transposed first): strictly tall, and at least `crossover`
+/// times as tall as wide. The crossover is floored at 1, so no setting
+/// can engage on a square input. The drivers and the model both decide
+/// engagement here.
+#[must_use]
+pub fn qr_engages(m: usize, n: usize, crossover: f64) -> bool {
+    m > n && m as f64 >= crossover.max(1.0) * n as f64
 }
 
 /// Which meeting kernel the blocked driver uses (mirror of core's

@@ -15,6 +15,12 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --workspace
 
+echo "== perfbench: the benchmark package builds and its tests pass against the library =="
+# perfbench/ is a package of its own that uses only public items, so a
+# public-API change that breaks the benchmark fails here, not in a
+# benchmark run
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== kernel bodies below AVX-512: treesvd-matrix tests at x86-64-v3 (AVX2+FMA) and x86-64 (portable) =="
 # .cargo/config.toml builds for the host CPU, so an AVX-512 host compiles
 # only the AVX-512 bodies of the ops kernels; these runs compile the other
